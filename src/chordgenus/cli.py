@@ -44,13 +44,22 @@ def _order_cap() -> int:
         raise ValueError(f"{ORDER_CAP_ENV} must be an integer, got {raw!r}")
 
 
+def _check_order_cap(value: int, flag: str) -> None:
+    """Refuse a series order or n-max above the cap before any work starts."""
+    cap = _order_cap()
+    if value > cap:
+        raise ValueError(
+            f"{flag} {value} exceeds the cap {cap}; set {ORDER_CAP_ENV} to override"
+        )
+
+
 def _document(command: str, parameters: dict, payload: dict, started: float) -> dict:
     return {
         "metadata": {
             "command": command,
             "parameters": {k: str(v) for k, v in sorted(parameters.items())},
             "version": __version__,
-            "runtime_seconds": f"{time.time() - started:.3f}",
+            "runtime_seconds": f"{time.perf_counter() - started:.3f}",
         },
         "payload": payload,
     }
@@ -179,7 +188,9 @@ def _table_rows(args) -> tuple[list[dict], list[str]]:
 
 
 def cmd_table(args, stream) -> int:
-    started = time.time()
+    started = time.perf_counter()
+    if args.source == "formula":
+        _check_order_cap(args.n_max, "n-max")
     rows, fieldnames = _table_rows(args)
     if args.format == "csv":
         _emit_csv(rows, fieldnames, stream)
@@ -205,7 +216,7 @@ def cmd_table(args, stream) -> int:
 
 
 def cmd_poly(args, stream) -> int:
-    started = time.time()
+    started = time.perf_counter()
     if args.poly_kind == "hz":
         if args.n is None:
             raise ValueError("poly hz requires --n")
@@ -235,12 +246,8 @@ def cmd_poly(args, stream) -> int:
 
 
 def cmd_series(args, stream) -> int:
-    started = time.time()
-    cap = _order_cap()
-    if args.order > cap:
-        raise ValueError(
-            f"order {args.order} exceeds the cap {cap}; set {ORDER_CAP_ENV} to override"
-        )
+    started = time.perf_counter()
+    _check_order_cap(args.order, "order")
     if args.order < 0:
         raise ValueError("order must be >= 0")
     if args.series_target == "cg":
@@ -268,7 +275,7 @@ def cmd_series(args, stream) -> int:
 
 
 def cmd_asymptotics(args, stream) -> int:
-    started = time.time()
+    started = time.perf_counter()
     if args.asym_kind == "constant":
         if args.g is None:
             raise ValueError("asymptotics constant requires --g")
@@ -309,6 +316,7 @@ def cmd_asymptotics(args, stream) -> int:
         if args.g is None:
             raise ValueError("asymptotics growth requires --g")
         n = args.n_max
+        _check_order_cap(n, "n-max")
         if args.sigma is None:
             ratio = asymptotics.diagram_growth_ratio(args.g, n)
             reference = "4"
@@ -337,7 +345,7 @@ def cmd_asymptotics(args, stream) -> int:
 
 
 def cmd_verify(args, stream) -> int:
-    started = time.time()
+    started = time.perf_counter()
     sigmas = tuple(args.sigma_list) if args.sigma_list else None
     results = verify.run_suite(
         args.suite, n_max=args.n_max, g_max=args.g_max, sigmas=sigmas

@@ -12,6 +12,13 @@ P_g through an exact first-order differential equation, partial fractions in
 powers of (1-4z), and a Laurent-coefficient integration.  Bivariate
 refinements by 1-chord number, shape generating functions, and the
 macromolecular (minimum stack size sigma) series live here too.
+
+The macromolecular series D_{g,sigma} = pre_sigma C_g(theta_sigma) is
+expanded from the closed form: an integer polynomial times a rational power
+of an integer polynomial, raised by ``series.rational_power`` in
+O(order * degree) integer operations.  The term-by-term composition the
+formula literally writes is cubic in the order over Fractions; it is kept as
+``_macromolecular_series_composed``, the witness the tests compare against.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from functools import lru_cache
 
 from .bruteforce import GenusTable
 from .recurrences import diagram_count_min_chords, diagram_count_table
-from .series import BiSeries, Poly, Series, geometric_series
+from .series import BiSeries, Poly, Series, _list_mul, geometric_series, rational_power
 
 _W = Poly([1, -4])  # 1 - 4z
 
@@ -75,8 +82,10 @@ def catalan_series_reciprocal_form(order: int) -> Series:
     return root.add_scalar(1).reciprocal().scale(2)
 
 
-def sqrt_one_minus_4z(order: int) -> Series:
-    return _W.as_series(order).sqrt()
+def _int_coeffs(p: Poly) -> list[int]:
+    if not p.is_integral():
+        raise ArithmeticError(f"expected an integer polynomial, got {p.coeffs}")
+    return [int(c) for c in p.coeffs]
 
 
 @lru_cache(maxsize=None)
@@ -285,11 +294,11 @@ def reduced_genus_polynomial(g: int) -> Poly:
 
 
 def genus_series_closed_form(g: int, order: int) -> Series:
-    """Expand P_g sqrt(1-4z) / (1-4z)^(3g); must reproduce genus_series."""
+    """Expand P_g (1-4z)^(1/2-3g); must reproduce genus_series."""
     if g < 1:
         raise ValueError("the closed form starts at genus 1")
-    num = genus_polynomial(g).as_series(order) * sqrt_one_minus_4z(order)
-    return num * _W.as_series(order).pow(3 * g).reciprocal()
+    tail = rational_power(_W.coeffs, Fraction(1, 2) - 3 * g, order)
+    return Series(_list_mul(_int_coeffs(genus_polynomial(g)), tail, order))
 
 
 def ode_residual(g: int, order: int) -> Series:
@@ -459,9 +468,21 @@ def macromolecular_argument(sigma: int) -> RationalFunction:
 def macromolecular_series(g: int, sigma: int, order: int) -> Series:
     """D_{g,sigma}(z): genus-g diagrams, no 1-chords, stacks of >= sigma.
 
-    Assembled as prefactor times C_g composed with theta_sigma.  Defined for
-    g >= 1 by the theory; g = 0 is exposed as an extension and checked
-    against the oracle informationally.
+    D_{g,sigma} = pre_sigma C_g(theta_sigma), expanded from the closed form of
+    C_g.  With q = z^(2 sigma) - z^2 + 1, n1 = z^(2 sigma) + (1-z) q and
+    Delta = n1^2 - 4 z^(2 sigma) q one has pre_sigma = q/n1 and
+    1 - 4 theta_sigma = Delta/n1^2, so for P_g = sum_k p_k z^k
+
+        D_{g,sigma} = [sum_k p_k z^(2 sigma k) q^(k+1) n1^(6g-2-2k)] Delta^(1/2-3g),
+        D_{0,sigma} = (n1 - Delta^(1/2)) / (2 z^(2 sigma)).
+
+    The bracket is a polynomial because deg P_g <= 3g-1.  The power of Delta
+    comes from ``rational_power``, so the cost is O(order * (deg Delta +
+    deg bracket)) integer operations; the genus-0 shift and halving are
+    checked to be exact.  The term-by-term composition is cubic in the order
+    and is kept as ``_macromolecular_series_composed``, the witness the tests
+    compare against.  Defined for g >= 1 by the theory; g = 0 is exposed as
+    an extension and checked against the oracle informationally.
     """
     if g < 0:
         raise ValueError("g must be >= 0")
@@ -469,6 +490,38 @@ def macromolecular_series(g: int, sigma: int, order: int) -> Series:
         raise ValueError("sigma must be >= 1")
     if order < 0:
         raise ValueError("order must be >= 0")
+    q, n1 = _q_sigma(sigma), _n1_sigma(sigma)
+    shift = 2 * sigma
+    delta = n1 * n1 - Poly.monomial(shift, 4) * q
+    if g == 0:
+        num = [-r for r in rational_power(delta.coeffs, Fraction(1, 2), order + shift)]
+        for i, c in enumerate(_int_coeffs(n1)[: order + shift + 1]):
+            num[i] += c
+        if any(c % 2 for c in num):
+            raise ArithmeticError("n1 - Delta^(1/2) has an odd coefficient")
+        return Series([c // 2 for c in num]).shift_down(shift)
+    # the bracket, in integers and truncated at the order
+    qi, n1i = _int_coeffs(q), _int_coeffs(n1)
+    bracket = [0] * (order + 1)
+    for k, pk in enumerate(_int_coeffs(genus_polynomial(g))):
+        if not pk or shift * k > order:
+            continue
+        term = [0] * (shift * k) + [pk]
+        for factor in [qi] * (k + 1) + [n1i] * (6 * g - 2 - 2 * k):
+            term = _list_mul(term, factor, min(order, len(term) + len(factor) - 2))
+        for i, c in enumerate(term):
+            bracket[i] += c
+    tail = rational_power(delta.coeffs, Fraction(1, 2) - 3 * g, order)
+    return Series(_list_mul(bracket, tail, order))
+
+
+def _macromolecular_series_composed(g: int, sigma: int, order: int) -> Series:
+    """D_{g,sigma} as the paper writes it: prefactor times C_g(theta_sigma).
+
+    Composes the recursion-built C_g with theta_sigma term by term over
+    Fractions, cubic in the order; the tests' witness for
+    ``macromolecular_series``.
+    """
     pre = macromolecular_prefactor(sigma).to_series(order)
     theta = macromolecular_argument(sigma).to_series(order)
     if theta.coeffs[0] != 0:

@@ -4,7 +4,8 @@ Everything here is built on ``fractions.Fraction``; no floating point enters.
 A ``Series`` knows the truncation order it is exact to and refuses to produce
 coefficients it cannot guarantee.  ``Poly`` is an exact polynomial, and
 ``BiSeries`` is a truncated series in two variables on a rectangular
-coefficient grid.
+coefficient grid.  ``rational_power`` is the one integer kernel: it raises an
+integer polynomial to a rational power with checked exact division.
 """
 
 from __future__ import annotations
@@ -252,9 +253,10 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-def _list_mul(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list[Fraction]:
-    # coefficients 0..n of the product, skipping zero entries
-    out = [_ZERO] * (n + 1)
+def _list_mul(a: Sequence[Scalar], b: Sequence[Scalar], n: int) -> list[Scalar]:
+    # coefficients 0..n of the product, skipping zero entries; the int seed
+    # keeps integer operands in integers
+    out = [0] * (n + 1)
     for i, ai in enumerate(a):
         if i > n:
             break
@@ -510,6 +512,45 @@ def sqrt_binomial(s: Series) -> Series:
             if power[i]:
                 out[i] += binom * power[i]
     return Series(out)
+
+
+def rational_power(a: Sequence[Scalar], alpha: Scalar, order: int) -> list[int]:
+    """Coefficients 0..order of a(z)**alpha, for an integer polynomial a with a(0) = 1.
+
+    J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7): with
+    alpha = p/q and f = a**alpha,
+
+        q k f_k = sum_{j=1}^{min(k, deg a)} ((p + q) j - q k) a_j f_{k-j}.
+
+    The sums run on Python ints and cost O(order * deg a) coefficient
+    operations.  Every division is checked: a nonzero remainder means the
+    power has a non-integer coefficient and raises ArithmeticError.
+    """
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    if any(_f(c).denominator != 1 for c in a):
+        raise ValueError("rational_power needs integer coefficients")
+    coeffs = [int(c) for c in a]
+    if not coeffs or coeffs[0] != 1:
+        raise ValueError("rational_power needs a(0) = 1")
+    alpha = _f(alpha)
+    p, q = alpha.numerator, alpha.denominator
+    terms = [(j, c) for j, c in enumerate(coeffs) if j and c]
+    f = [1] + [0] * order
+    for k in range(1, order + 1):
+        acc = 0
+        for j, aj in terms:
+            if j > k:
+                break
+            acc += ((p + q) * j - q * k) * aj * f[k - j]
+        fk, rem = divmod(acc, q * k)
+        if rem:
+            raise ArithmeticError(
+                f"coefficient of z^{k} in a(z)^({alpha}) is {Fraction(acc, q * k)}, "
+                "not an integer"
+            )
+        f[k] = fk
+    return f
 
 
 def exp_series(order: int) -> Series:

@@ -119,6 +119,7 @@ def suite_hz(n_max: int = 10, eval_n: int = 6) -> list[CheckResult]:
             else f"first counterexample n={bad[0]}: {bad[1]} vs {bad[2]}",
         )
     )
+    eval_n = min(eval_n, n_max)  # rows holds polynomials up to n_max only
     oracle = bruteforce.count_by_genus(eval_n)
     bad = None
     for n in range(eval_n + 1):
@@ -492,25 +493,28 @@ def run_suite(
     """Run one named suite (or every suite for ``all``) with optional limits."""
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    for flag, value in (("n_max", n_max), ("g_max", g_max)):
+        if value is not None and value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
     if name == "all":
         results = []
-        results += suite_oracle(n_max or 6)
-        results += suite_hz(n_max or 10)
-        results += suite_polys(g_max or 5)
-        results += suite_shapes(min(n_max, 6) if n_max is not None else 5)
-        results += suite_mm(n_max or 10, sigmas or (1, 2))
+        results += suite_oracle(6 if n_max is None else n_max)
+        results += suite_hz(10 if n_max is None else n_max)
+        results += suite_polys(5 if g_max is None else g_max)
+        results += suite_shapes(5 if n_max is None else min(n_max, 6))
+        results += suite_mm(10 if n_max is None else n_max, sigmas or (1, 2))
         results += suite_asymptotics()
         return results
     if name == "oracle":
-        return suite_oracle(n_max or 6)
+        return suite_oracle(6 if n_max is None else n_max)
     if name == "hz":
-        return suite_hz(n_max or 10)
+        return suite_hz(10 if n_max is None else n_max)
     if name == "polys":
-        return suite_polys(g_max or 5)
+        return suite_polys(5 if g_max is None else g_max)
     if name == "shapes":
-        return suite_shapes(n_max or 5)
+        return suite_shapes(5 if n_max is None else n_max)
     if name == "mm":
-        return suite_mm(n_max or 10, sigmas or (1, 2))
+        return suite_mm(10 if n_max is None else n_max, sigmas or (1, 2))
     return suite_asymptotics()
 
 

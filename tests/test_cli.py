@@ -120,6 +120,25 @@ class TestSeries:
         doc = run_json(capsys, "series", "cg", "--g", "1", "--order", "4")
         assert doc["payload"]["coefficients"][-1] == "70"
 
+    def test_formula_n_max_over_the_cap(self, capsys, monkeypatch):
+        for argv in (
+            ("table", "mm", "--sigma", "1", "--g", "1", "--n-max", "1001"),
+            ("table", "cg", "--n-max", "100000"),
+            ("asymptotics", "growth", "--g", "1", "--sigma", "2", "--n-max", "1001"),
+            ("asymptotics", "growth", "--g", "4", "--n-max", "100000"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == EXIT_USAGE and "cap 1000" in err and out == "", argv
+        monkeypatch.setenv("CHORDGENUS_ORDER_CAP", "1001")
+        doc = run_json(
+            capsys, "table", "mm", "--sigma", "1", "--g", "1", "--n-max", "1001"
+        )
+        assert len(doc["payload"]["rows"]) == 1002
+        doc = run_json(
+            capsys, "asymptotics", "growth", "--g", "1", "--sigma", "2", "--n-max", "1001"
+        )
+        assert doc["payload"]["n"] == "1001"
+
     def test_dg_requires_sigma(self, capsys):
         code, _, err = run_cli(capsys, "series", "dg", "--g", "1", "--order", "4")
         assert code == EXIT_USAGE and "--sigma" in err
@@ -148,6 +167,21 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "oracle", "--n-max", "5")
         assert code == EXIT_OK
         assert "[PASS]" in out and "[FAIL]" not in out
+
+    def test_n_max_and_g_max_below_one_are_usage_errors(self, capsys):
+        for argv in (
+            ("verify", "oracle", "--n-max", "0"),
+            ("verify", "all", "--n-max", "0"),
+            ("verify", "polys", "--g-max", "0"),
+            ("verify", "all", "--n-max", "-3"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == EXIT_USAGE and "must be >= 1" in err and out == "", argv
+
+    def test_hz_suite_below_its_evaluation_depth(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "hz", "--n-max", "3")
+        assert code == EXIT_OK
+        assert "(n <= 3)" in out and "[FAIL]" not in out
 
     def test_json_format(self, capsys):
         doc = run_json(capsys, "verify", "hz", "--format", "json")

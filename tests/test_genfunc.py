@@ -34,6 +34,7 @@ from chordgenus.genfunc import (
     shape_bivariate,
     shape_bivariate_inflated,
     stack_kernel,
+    _macromolecular_series_composed,
 )
 from chordgenus.recurrences import diagram_count_min_chords
 from chordgenus.series import BiSeries, Poly, Series, geometric_series
@@ -294,6 +295,14 @@ class TestMacromolecular:
         assert d11.coeffs[:5] == (0, 0, 0, 0, 1)
         d12 = macromolecular_series(1, 2, 9)
         assert d12.coeffs == (0, 0, 0, 0, 0, 0, 0, 0, 1, 5)
+
+    def test_closed_form_equals_composition_witness(self):
+        for g in range(4):
+            for sigma in range(1, 5):
+                for order in (0, 1, 2 * sigma, 17, 40):
+                    assert macromolecular_series(g, sigma, order) == (
+                        _macromolecular_series_composed(g, sigma, order)
+                    ), (g, sigma, order)
 
     def test_validation(self):
         with pytest.raises(ValueError):

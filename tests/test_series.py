@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import comb, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chordgenus.series import (
     BiSeries,
@@ -12,6 +14,7 @@ from chordgenus.series import (
     geometric_series,
     poly_divmod,
     poly_gcd,
+    rational_power,
     sqrt_binomial,
     sqrt_newton,
 )
@@ -178,6 +181,42 @@ def test_sqrt_of_one_minus_four_z():
     expected = [Fraction(1)] + [Fraction(-2 * comb(2 * n - 2, n - 1), n) for n in range(1, 9)]
     assert s == Series(expected)
     assert s.coeffs[:5] == (1, -2, -2, -4, -10)
+
+
+def test_rational_power_square_root_matches_sqrt_routes():
+    root = Series(rational_power([1, -4], Fraction(1, 2), 60))
+    s = Poly([1, -4]).as_series(60)
+    assert root == sqrt_newton(s) == sqrt_binomial(s)
+
+
+def test_rational_power_negative_integer_power_is_reciprocal():
+    a = Poly([1, -3, 0, 2, 5])
+    for k in (1, 2, 5):
+        got = Series(rational_power(a.coeffs, -k, 30))
+        assert got == a.as_series(30).pow(k).reciprocal()
+
+
+def test_rational_power_rejects_inexact_and_malformed_input():
+    with pytest.raises(ArithmeticError):
+        rational_power([1, 1], Fraction(1, 2), 3)  # (1+z)^(1/2) = 1 + z/2 - ...
+    with pytest.raises(ValueError):
+        rational_power([2, 1], Fraction(1, 2), 3)
+    with pytest.raises(ValueError):
+        rational_power([1, Fraction(1, 2)], 2, 3)
+    with pytest.raises(ValueError):
+        rational_power([1, 1], 2, -1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    u=st.lists(st.integers(-20, 20), min_size=0, max_size=6),
+    order=st.integers(0, 25),
+)
+def test_rational_power_square_root_squares_back(u, order):
+    # (1 + 4u)^(1/2) is an integer series for every integer polynomial u
+    a = [1] + [4 * c for c in u]
+    root = Series(rational_power(a, Fraction(1, 2), order))
+    assert root * root == Poly(a).as_series(order)
 
 
 def test_sqrt_requires_unit_constant_term():
