@@ -21,6 +21,11 @@ from . import __version__, asymptotics, bruteforce, genfunc, recurrences, verify
 
 ORDER_CAP_ENV = "CHORDGENUS_ORDER_CAP"
 DEFAULT_ORDER_CAP = 1000
+# Largest genus a request may push through the P_g pipeline.  The pipeline
+# cost grows about as g^3: building P_1..P_30 takes about 2 s on a 2-core
+# host (P_22 0.8 s, P_40 5 s, P_50 9 s), and the heaviest admitted request,
+# ``table mm --n-max 1000 --g-max 30 --source formula``, about 4 s.
+MAX_PIPELINE_GENUS = 30
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -50,6 +55,14 @@ def _check_order_cap(value: int, flag: str) -> None:
     if value > cap:
         raise ValueError(
             f"{flag} {value} exceeds the cap {cap}; set {ORDER_CAP_ENV} to override"
+        )
+
+
+def _check_pipeline_genus(g: int, flag: str) -> None:
+    """Refuse a genus the P_g pipeline would take too long to reach."""
+    if g > MAX_PIPELINE_GENUS:
+        raise ValueError(
+            f"{flag} {g} exceeds the P_g pipeline limit {MAX_PIPELINE_GENUS}"
         )
 
 
@@ -189,8 +202,17 @@ def _table_rows(args) -> tuple[list[dict], list[str]]:
 
 def cmd_table(args, stream) -> int:
     started = time.perf_counter()
+    for flag, value in (("n-max", args.n_max), ("g-max", args.g_max), ("g", args.g)):
+        if value is not None and value < 0:
+            raise ValueError(f"{flag} must be >= 0")
     if args.source == "formula":
         _check_order_cap(args.n_max, "n-max")
+        if args.table_class == "mm":
+            if args.g is not None:
+                _check_pipeline_genus(args.g, "g")
+            else:
+                g_max = args.g_max if args.g_max is not None else args.n_max // 2
+                _check_pipeline_genus(g_max, "g-max")
     rows, fieldnames = _table_rows(args)
     if args.format == "csv":
         _emit_csv(rows, fieldnames, stream)
@@ -227,6 +249,7 @@ def cmd_poly(args, stream) -> int:
             raise ValueError(f"poly {args.poly_kind} requires --g")
         if args.g < 1:
             raise ValueError("g must be >= 1")
+        _check_pipeline_genus(args.g, "g")
         if args.poly_kind == "pg":
             poly = genfunc.genus_polynomial(args.g)
         elif args.poly_kind == "rg":
@@ -256,6 +279,7 @@ def cmd_series(args, stream) -> int:
     else:
         if args.sigma is None:
             raise ValueError("series dg requires --sigma")
+        _check_pipeline_genus(args.g, "g")
         ser = genfunc.macromolecular_series(args.g, args.sigma, args.order)
         params = {
             "target": "dg",
@@ -279,6 +303,7 @@ def cmd_asymptotics(args, stream) -> int:
     if args.asym_kind == "constant":
         if args.g is None:
             raise ValueError("asymptotics constant requires --g")
+        _check_pipeline_genus(args.g, "g")
         est = asymptotics.leading_constant(args.g)
         payload = {
             "exponent": _fmt(est.power),
@@ -321,6 +346,7 @@ def cmd_asymptotics(args, stream) -> int:
             ratio = asymptotics.diagram_growth_ratio(args.g, n)
             reference = "4"
         else:
+            _check_pipeline_genus(args.g, "g")
             ratio = asymptotics.macromolecular_growth_ratio(args.g, args.sigma, n)
             reference = _fmt(
                 asymptotics.macromolecular_growth_interval(args.sigma).midpoint()

@@ -35,6 +35,33 @@ def _cycle_count(partners: Sequence[int]) -> int:
     return cycles
 
 
+def _onechords(partners: Sequence[int]) -> int:
+    # chords joining neighbouring vertices
+    return sum(1 for v, p in enumerate(partners) if p == v + 1)
+
+
+def _is_shape_partner(partners: Sequence[int]) -> bool:
+    # no chord (i, j) has the chord (i+1, j-1) directly inside it
+    for i, j in enumerate(partners):
+        if j > i + 2 and partners[i + 1] == j - 1:
+            return False
+    return True
+
+
+def _min_stack_size(partners: Sequence[int]) -> int | None:
+    # smallest stack, walked from each outermost chord; None without chords
+    best: int | None = None
+    for i, j in enumerate(partners):
+        if j <= i or (i and partners[i - 1] == j + 1):
+            continue  # not a chord's left end, or not outermost in its stack
+        size, a, b = 1, i, j
+        while b - a > 2 and partners[a + 1] == b - 1:
+            size, a, b = size + 1, a + 1, b - 1
+        if best is None or size < best:
+            best = size
+    return best
+
+
 def _validate_partners(partners: Sequence[int], allow_unmatched: bool) -> None:
     length = len(partners)
     for v, p in enumerate(partners):
@@ -136,14 +163,14 @@ class ChordDiagram:
         return num // 2
 
     def one_chord_count(self) -> int:
-        return sum(1 for v, p in enumerate(self.partners) if p == v + 1)
+        return _onechords(self.partners)
 
     def stacks(self) -> list[list[Pair]]:
         return _stacks_of_pairs(self.pairs())
 
     def is_shape(self) -> bool:
         """True when every stack has a single chord."""
-        return all(len(s) == 1 for s in self.stacks())
+        return _is_shape_partner(self.partners)
 
     def to_partial(self) -> "PartialDiagram":
         return PartialDiagram(self.partners)
@@ -251,15 +278,14 @@ class PartialDiagram:
         return self.matched_subdiagram().boundary_cycles()
 
     def one_chord_count(self) -> int:
-        return sum(1 for v, p in enumerate(self.partners) if p == v + 1)
+        return _onechords(self.partners)
 
     def stacks(self) -> list[list[Pair]]:
         return _stacks_of_pairs(self.pairs())
 
     def min_stack_size(self) -> int | None:
         """Size of the smallest stack, None when there are no chords."""
-        sizes = [len(s) for s in self.stacks()]
-        return min(sizes) if sizes else None
+        return _min_stack_size(self.partners)
 
     def is_macromolecular(self, sigma: int) -> bool:
         """No chord on adjacent vertices, and every stack holds >= sigma chords."""

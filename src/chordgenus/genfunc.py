@@ -273,6 +273,9 @@ def _record(g: int) -> GenusPolyRecord:
         base = Poly([0, 0, 1])  # z^2, pinned by the direct route in tests
         _check_genus_polynomial(base, 1)
         return GenusPolyRecord(1, base, Poly.one())
+    # fill the cache bottom-up, so no call nests more than two deep
+    for h in range(2, g):
+        _record(h)
     return _pipeline_step(_record(g - 1))
 
 

@@ -1,8 +1,11 @@
+from collections import Counter
+
 import pytest
 
 from chordgenus.bruteforce import (
     DEFAULT_FULL_CAP,
     DEFAULT_PARTIAL_CAP,
+    GenusTable,
     count_by_genus,
     count_by_genus_onechords,
     count_macromolecular,
@@ -122,3 +125,57 @@ def test_mm_single_sigma_matches_multi():
     multi = count_macromolecular_multi(7, (2,))[2]
     single = count_macromolecular(7, 2)
     assert single == multi
+
+
+def test_negative_n_max_is_rejected():
+    for count in (count_by_genus, count_by_genus_onechords, count_shapes):
+        with pytest.raises(ValueError, match="n >= 0"):
+            count(-1)
+    with pytest.raises(ValueError, match="n >= 0"):
+        count_macromolecular(-1, 2)
+    with pytest.raises(ValueError, match="n >= 0"):
+        count_macromolecular_multi(-3, (1, 2))
+
+
+def test_full_tables_match_public_stream_tallies():
+    # the search tracks cycles, 1-chords and stacking incrementally; the
+    # stream classifies each diagram from scratch through ChordDiagram
+    n_max = 6
+    joint, shapes = Counter(), Counter()
+    for n in range(n_max + 1):
+        for d in enumerate_chord_diagrams(n):
+            key = (d.genus(), n, d.one_chord_count())
+            joint[key] += 1
+            if d.is_shape():
+                shapes[key] += 1
+    plain = Counter()
+    for (g, n, _m), v in joint.items():
+        plain[(g, n)] += v
+    assert count_by_genus_onechords(n_max).entries == dict(joint)
+    assert count_shapes(n_max).entries == dict(shapes)
+    assert count_by_genus(n_max).entries == dict(plain)
+
+
+def test_macromolecular_tables_match_partial_stream_tallies():
+    n_max, sigmas = 10, (1, 2, 3)
+    tallies = {s: Counter() for s in sigmas}
+    for n in range(n_max + 1):
+        for d in enumerate_partial_diagrams(n):
+            for s in sigmas:
+                if d.is_macromolecular(s):
+                    tallies[s][(d.genus(), n)] += 1
+    tables = count_macromolecular_multi(n_max, sigmas)
+    for s in sigmas:
+        assert tables[s].entries == dict(tallies[s]), s
+
+
+def test_first_partner_partition_merges_to_the_full_table():
+    n_max = 5
+    merged = GenusTable("full", n_max, {(0, 0): 1})  # the empty diagram
+    for n in range(1, n_max + 1):
+        for k in range(2, 2 * n + 1):
+            part = Counter(
+                (d.genus(), n) for d in enumerate_chord_diagrams(n, first_partner=k)
+            )
+            merged = merged.merge(GenusTable("full", n, dict(part)))
+    assert merged == count_by_genus(n_max)

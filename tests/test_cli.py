@@ -7,7 +7,7 @@ import json
 import pytest
 
 from chordgenus import bruteforce, recurrences
-from chordgenus.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from chordgenus.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, MAX_PIPELINE_GENUS, main
 
 
 def run_cli(capsys, *argv):
@@ -62,6 +62,32 @@ class TestTable:
         assert code == EXIT_USAGE
         assert "cap" in err.lower()
 
+    @pytest.mark.parametrize("source", ["oracle", "formula"])
+    @pytest.mark.parametrize(
+        "table_class", [("cg",), ("cg-m",), ("shapes",), ("mm", "--sigma", "2")]
+    )
+    @pytest.mark.parametrize(
+        "bounds", [("--n-max", "-1"), ("--n-max", "4", "--g-max", "-1")]
+    )
+    def test_negative_bounds_are_usage_errors(self, capsys, source, table_class, bounds):
+        code, out, err = run_cli(capsys, "table", *table_class, *bounds, "--source", source)
+        assert code == EXIT_USAGE and out == ""
+        assert "must be >= 0" in err
+
+    def test_negative_mm_genus_is_a_usage_error(self, capsys):
+        for source in ("oracle", "formula"):
+            code, out, _ = run_cli(
+                capsys, "table", "mm", "--sigma", "1", "--g", "-1", "--n-max", "4",
+                "--source", source,
+            )
+            assert code == EXIT_USAGE and out == ""
+
+    def test_oracle_cap_message_names_the_library_keyword(self, capsys):
+        code, _, err = run_cli(capsys, "table", "mm", "--sigma", "1", "--n-max", "15",
+                               "--source", "oracle")
+        assert code == EXIT_USAGE
+        assert "safety cap 14" in err and "cap= keyword" in err
+
     def test_joint_table_sources_agree(self, capsys):
         a = run_json(capsys, "table", "cg-m", "--n-max", "4", "--source", "formula")
         b = run_json(capsys, "table", "cg-m", "--n-max", "4", "--source", "oracle")
@@ -97,6 +123,41 @@ class TestPoly:
     def test_out_of_range(self, capsys):
         code, _, _ = run_cli(capsys, "poly", "pg", "--g", "0")
         assert code == EXIT_USAGE
+
+
+class TestPipelineGenusLimit:
+    def test_limit_admits_the_benchmarked_genera(self):
+        assert MAX_PIPELINE_GENUS >= 22
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("poly", "pg", "--g", "600"),
+            ("poly", "rg", "--g", "{over}"),
+            ("poly", "qg", "--g", "{over}"),
+            ("asymptotics", "constant", "--g", "{over}"),
+            ("asymptotics", "growth", "--g", "{over}", "--sigma", "2", "--n-max", "10"),
+            ("series", "dg", "--g", "{over}", "--sigma", "1", "--order", "5"),
+            ("table", "mm", "--sigma", "1", "--g", "{over}", "--n-max", "5"),
+            ("table", "mm", "--sigma", "1", "--g-max", "{over}", "--n-max", "5"),
+            # without --g or --g-max the genus range runs to n-max // 2
+            ("table", "mm", "--sigma", "1", "--n-max", "{twice}"),
+        ],
+    )
+    def test_genus_past_the_limit_is_refused(self, capsys, argv):
+        over, twice = MAX_PIPELINE_GENUS + 1, 2 * MAX_PIPELINE_GENUS + 2
+        argv = [a.format(over=over, twice=twice) for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert f"pipeline limit {MAX_PIPELINE_GENUS}" in err
+
+    def test_routes_off_the_pipeline_are_not_limited(self, capsys):
+        over = str(MAX_PIPELINE_GENUS + 1)
+        doc = run_json(capsys, "series", "cg", "--g", over, "--order", "3")
+        assert doc["payload"]["coefficients"] == ["0", "0", "0", "0"]
+        doc = run_json(capsys, "table", "mm", "--sigma", "1", "--g", over,
+                       "--n-max", "3", "--source", "oracle")
+        assert [r["count"] for r in doc["payload"]["rows"]] == ["0"] * 4
 
 
 class TestSeries:

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chordgenus.diagrams import ChordDiagram, PartialDiagram
 
@@ -178,3 +180,28 @@ def test_projection_preserves_onechords_on_full_diagrams():
     for n in range(5):
         for d in enumerate_chord_diagrams(n):
             assert d.project_shape().one_chord_count() == d.one_chord_count()
+
+
+@st.composite
+def partner_arrays(draw, max_vertices=14):
+    """A random partial matching; even vertex counts may come out full."""
+    n = draw(st.integers(0, max_vertices))
+    order = draw(st.permutations(range(n)))
+    chords = draw(st.integers(0, n // 2))
+    partners = [-1] * n
+    for t in range(chords):
+        a, b = order[2 * t], order[2 * t + 1]
+        partners[a], partners[b] = b, a
+    return partners
+
+
+@settings(max_examples=300, deadline=None)
+@given(partner_arrays())
+def test_partner_scans_agree_with_stacks(partners):
+    d = PartialDiagram(partners)
+    sizes = [len(s) for s in d.stacks()]
+    assert d.min_stack_size() == (min(sizes) if sizes else None)
+    if -1 not in partners:
+        full = ChordDiagram(partners)
+        assert full.is_shape() == all(len(s) == 1 for s in full.stacks())
+        assert full.to_partial().min_stack_size() == d.min_stack_size()

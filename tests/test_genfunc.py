@@ -1,9 +1,11 @@
 """Tests for generating functions, the polynomial pipeline, and fibers."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 
+from chordgenus import genfunc
 from chordgenus.bruteforce import (
     count_by_genus_onechords,
     count_macromolecular_multi,
@@ -133,6 +135,24 @@ class TestGenusPolynomials:
             assert q.degree <= 3 * g + 2
             assert q.valuation() == 2 * g + 2
             assert q(Fraction(1, 4)) != 0
+
+    def test_cold_records_need_no_recursion_per_genus(self):
+        # built bottom-up, a cold record at genus 12 fits in a stack that a
+        # genus-by-genus recursion (about 27 + g frames) would overflow
+        def depth():
+            frame, d = sys._getframe(), 0
+            while frame:
+                frame, d = frame.f_back, d + 1
+            return d
+
+        expected = genus_polynomial(12)
+        genfunc._record.cache_clear()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth() + 30)
+        try:
+            assert genus_polynomial(12) == expected
+        finally:
+            sys.setrecursionlimit(limit)
 
     def test_records_shape(self):
         recs = genus_polynomial_records(3)
