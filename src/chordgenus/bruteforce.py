@@ -60,8 +60,10 @@ class GenusTable:
     """Counts of diagrams keyed by genus (and friends).
 
     Keys of ``entries`` are (g, n) or, when ``with_onechords`` is set,
-    (g, n, m).  Missing keys mean a count of zero unless the producer chose
-    to store explicit zeros.
+    (g, n, m).  The table covers n <= n_max and, when ``g_max`` is set, only
+    g <= g_max (an enumeration sees every genus; a recursion table does not).
+    Inside that range a missing key means a count of zero; a query outside
+    it raises ``IndexError`` rather than answer a count nobody computed.
     """
 
     class_tag: str  # "full" | "shape" | "macromolecular"
@@ -70,12 +72,25 @@ class GenusTable:
     with_onechords: bool = False
     sigma: int | None = None
     source: str = "enumeration"
+    g_max: int | None = None
 
     def count(self, g: int, n: int, m: int | None = None) -> int:
-        key = (g, n) if m is None else (g, n, m)
         if m is None and self.with_onechords:
+            self._check_range(g, n)
             return sum(v for k, v in self.entries.items() if k[0] == g and k[1] == n)
-        return self.entries.get(key, 0)
+        # a stored key is in range, so only a miss pays for the range check
+        value = self.entries.get((g, n) if m is None else (g, n, m))
+        if value is None:
+            self._check_range(g, n)
+            return 0
+        return value
+
+    def _check_range(self, g: int, n: int) -> None:
+        if n > self.n_max or (self.g_max is not None and g > self.g_max):
+            genera = "every g" if self.g_max is None else f"g <= {self.g_max}"
+            raise IndexError(
+                f"({g}, {n}) lies outside this table ({genera}, n <= {self.n_max})"
+            )
 
     def total(self, n: int) -> int:
         return sum(v for k, v in self.entries.items() if k[1] == n)
@@ -88,15 +103,18 @@ class GenusTable:
         for (g, n, _m), v in self.entries.items():
             key = (g, n)
             out[key] = out.get(key, 0) + v
-        return GenusTable(self.class_tag, self.n_max, out, False, self.sigma, self.source)
+        return GenusTable(
+            self.class_tag, self.n_max, out, False, self.sigma, self.source, self.g_max
+        )
 
     def merge(self, other: "GenusTable") -> "GenusTable":
-        if (self.class_tag, self.with_onechords, self.sigma) != (
+        if (self.class_tag, self.with_onechords, self.sigma, self.g_max) != (
             other.class_tag,
             other.with_onechords,
             other.sigma,
+            other.g_max,
         ):
-            raise ValueError("cannot merge tables of different classes")
+            raise ValueError("cannot merge tables of different classes or genus ranges")
         out = dict(self.entries)
         for k, v in other.entries.items():
             out[k] = out.get(k, 0) + v
@@ -107,6 +125,7 @@ class GenusTable:
             self.with_onechords,
             self.sigma,
             self.source,
+            self.g_max,
         )
 
 

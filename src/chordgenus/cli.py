@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
+import itertools
 import json
+import operator
 import os
 import sys
 import time
 from fractions import Fraction
+from typing import Iterator
 
 from . import __version__, asymptotics, bruteforce, genfunc, recurrences, verify
 
@@ -26,6 +28,10 @@ DEFAULT_ORDER_CAP = 1000
 # host (P_22 0.8 s, P_40 5 s, P_50 9 s), and the heaviest admitted request,
 # ``table mm --n-max 1000 --g-max 30 --source formula``, about 4 s.
 MAX_PIPELINE_GENUS = 30
+# Largest n-max of ``table cg-m|shapes --source formula``.  Those tables
+# expand an n x n bivariate series over Fractions per genus, which costs
+# about n^5: n = 20 takes 3-4 s on a 2-core host, n = 24 9 s, n = 40 2 min.
+MAX_BIVARIATE_N = 20
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -83,121 +89,93 @@ def _emit_json(doc: dict, stream) -> None:
     stream.write("\n")
 
 
-def _emit_csv(rows: list[dict], fieldnames: list[str], stream) -> None:
-    writer = csv.DictWriter(stream, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-
-
 # ---------------------------------------------------------------------------
 # table
 # ---------------------------------------------------------------------------
 
+# Rows go out in batches of this many, so a large table never sits in
+# memory as one rendered string.
+ROW_BATCH = 4096
 
-def _table_rows(args) -> tuple[list[dict], list[str]]:
+
+def _table_rows(args) -> tuple[tuple[str, ...], Iterator[tuple]]:
+    """The table's fieldnames and its rows as tuples of raw ints and Fractions.
+
+    Each (class, source) pair reduces to one ``count(g, n[, m])``; every
+    table or series it reads is built here, before the first row is asked
+    for, so a failing computation never leaves half a payload behind.
+    """
     n_max = args.n_max
     g_max = args.g_max if args.g_max is not None else n_max // 2
-    source = args.source
-    if args.table_class == "cg":
-        if source == "oracle":
-            table = bruteforce.count_by_genus(n_max)
+    genera = range(g_max + 1)
+    ns = range(n_max + 1)
+    oracle = args.source == "oracle"
+    cls = args.table_class
+    if cls == "cg":
+        if oracle:
+            count = bruteforce.count_by_genus(n_max).count
         else:
-            table = recurrences.diagram_count_table(g_max, n_max)
-        rows = [
-            {"g": str(g), "n": str(n), "count": _fmt(table.count(g, n))}
-            for g in range(g_max + 1)
-            for n in range(n_max + 1)
-        ]
-        return rows, ["g", "n", "count"]
-    if args.table_class == "cg-m":
-        rows = []
-        if source == "oracle":
-            table = bruteforce.count_by_genus_onechords(n_max)
-            for g in range(g_max + 1):
-                for n in range(n_max + 1):
-                    for m in range(n_max + 1):
-                        rows.append(
-                            {
-                                "g": str(g),
-                                "n": str(n),
-                                "m": str(m),
-                                "count": _fmt(table.count(g, n, m)),
-                            }
-                        )
+            count = recurrences.diagram_count_table(g_max, n_max).count
+        return ("g", "n", "count"), ((g, n, count(g, n)) for g in genera for n in ns)
+    if cls in ("cg-m", "shapes"):
+        if oracle:
+            if cls == "cg-m":
+                count = bruteforce.count_by_genus_onechords(n_max).count
+            else:
+                count = bruteforce.count_shapes(n_max).count
         else:
-            for g in range(g_max + 1):
-                biv = genfunc.diagram_bivariate(g, n_max, n_max)
-                for n in range(n_max + 1):
-                    for m in range(n_max + 1):
-                        rows.append(
-                            {
-                                "g": str(g),
-                                "n": str(n),
-                                "m": str(m),
-                                "count": _fmt(biv.coeff(n, m)),
-                            }
-                        )
-        return rows, ["g", "n", "m", "count"]
-    if args.table_class == "shapes":
-        rows = []
-        if source == "oracle":
-            table = bruteforce.count_shapes(n_max)
-            for g in range(g_max + 1):
-                for n in range(n_max + 1):
-                    for m in range(n_max + 1):
-                        rows.append(
-                            {
-                                "g": str(g),
-                                "n": str(n),
-                                "m": str(m),
-                                "count": _fmt(table.count(g, n, m)),
-                            }
-                        )
-        else:
-            for g in range(g_max + 1):
-                sb = genfunc.shape_bivariate(g, n_max, n_max)
-                for n in range(n_max + 1):
-                    for m in range(n_max + 1):
-                        rows.append(
-                            {
-                                "g": str(g),
-                                "n": str(n),
-                                "m": str(m),
-                                "count": _fmt(sb.coeff(n, m)),
-                            }
-                        )
-        return rows, ["g", "n", "m", "count"]
-    # mm
+            expand = genfunc.diagram_bivariate if cls == "cg-m" else genfunc.shape_bivariate
+            bivariates = {g: expand(g, n_max, n_max) for g in genera}
+
+            def count(g, n, m):
+                return bivariates[g].coeff(n, m)
+
+        return ("g", "n", "m", "count"), (
+            (g, n, m, count(g, n, m)) for g in genera for n in ns for m in ns
+        )
     if args.sigma is None:
         raise ValueError("table mm requires --sigma")
     sigma = args.sigma
-    genera = [args.g] if args.g is not None else list(range(g_max + 1))
-    rows = []
-    if source == "oracle":
-        table = bruteforce.count_macromolecular(n_max, sigma)
-        for g in genera:
-            for n in range(n_max + 1):
-                rows.append(
-                    {
-                        "sigma": str(sigma),
-                        "g": str(g),
-                        "n": str(n),
-                        "count": _fmt(table.count(g, n)),
-                    }
-                )
+    if args.g is not None:
+        genera = (args.g,)
+    if oracle:
+        count = bruteforce.count_macromolecular(n_max, sigma).count
     else:
-        for g in genera:
-            ser = genfunc.macromolecular_series(g, sigma, n_max)
-            for n in range(n_max + 1):
-                rows.append(
-                    {
-                        "sigma": str(sigma),
-                        "g": str(g),
-                        "n": str(n),
-                        "count": _fmt(ser.coeff(n)),
-                    }
-                )
-    return rows, ["sigma", "g", "n", "count"]
+        series = {g: genfunc.macromolecular_series(g, sigma, n_max) for g in genera}
+
+        def count(g, n):
+            return series[g].coeff(n)
+
+    return ("sigma", "g", "n", "count"), (
+        (sigma, g, n, count(g, n)) for g in genera for n in ns
+    )
+
+
+def _emit_table(doc: dict, fieldnames, rows, fmt: str, stream) -> None:
+    """Write the rows as CSV, or as ``doc`` with the rows in ``payload.rows``.
+
+    The JSON text is byte-identical to ``json.dump(indent=2, sort_keys=True)``
+    of string-valued row dicts.  The envelope is dumped with no rows and the
+    rows are spliced in, each from one template with its keys in sorted order
+    at the fixed row indent.  ``"%s" % v`` is ``str(v)``, the exact rendering
+    of an int or a Fraction, whose digits, "-" and "/" need no escaping.
+    """
+    if fmt == "csv":
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(fieldnames)
+        writer.writerows(rows)
+        return
+    keys = sorted(fieldnames)
+    template = "      {\n" + ",\n".join(f'        "{k}": "%s"' for k in keys) + "\n      }"
+    render = template.__mod__
+    pick = operator.itemgetter(*(fieldnames.index(k) for k in keys))
+    head, tail = json.dumps(doc, indent=2, sort_keys=True).rsplit('"rows": []', 1)
+    stream.write(head + '"rows": [')
+    sep = "\n"
+    for batch in iter(lambda: list(itertools.islice(rows, ROW_BATCH)), []):
+        stream.write(sep + ",\n".join(map(render, map(pick, batch))))
+        sep = ",\n"
+    stream.write(("]" if sep == "\n" else "\n    ]") + tail + "\n")
 
 
 def cmd_table(args, stream) -> int:
@@ -207,16 +185,18 @@ def cmd_table(args, stream) -> int:
             raise ValueError(f"{flag} must be >= 0")
     if args.source == "formula":
         _check_order_cap(args.n_max, "n-max")
+        if args.table_class in ("cg-m", "shapes") and args.n_max > MAX_BIVARIATE_N:
+            raise ValueError(
+                f"n-max {args.n_max} exceeds the limit {MAX_BIVARIATE_N} of the "
+                f"bivariate formula tables (cg-m, shapes)"
+            )
         if args.table_class == "mm":
             if args.g is not None:
                 _check_pipeline_genus(args.g, "g")
             else:
                 g_max = args.g_max if args.g_max is not None else args.n_max // 2
                 _check_pipeline_genus(g_max, "g-max")
-    rows, fieldnames = _table_rows(args)
-    if args.format == "csv":
-        _emit_csv(rows, fieldnames, stream)
-        return EXIT_OK
+    fieldnames, rows = _table_rows(args)
     params = {
         "class": args.table_class,
         "n_max": args.n_max,
@@ -227,8 +207,8 @@ def cmd_table(args, stream) -> int:
         params["sigma"] = args.sigma
     if args.g is not None:
         params["g"] = args.g
-    doc = _document("table", params, {"rows": rows}, started)
-    _emit_json(doc, stream)
+    doc = _document("table", params, {"rows": []}, started)
+    _emit_table(doc, fieldnames, rows, args.format, stream)
     return EXIT_OK
 
 
@@ -372,6 +352,13 @@ def cmd_asymptotics(args, stream) -> int:
 
 def cmd_verify(args, stream) -> int:
     started = time.perf_counter()
+    # the polys suite (also run by "all") takes both P_g routes to g-max + 1
+    if args.suite in ("polys", "all") and (args.g_max or 0) + 1 > MAX_PIPELINE_GENUS:
+        raise ValueError(
+            f"--g-max {args.g_max} exceeds {MAX_PIPELINE_GENUS - 1}: verify "
+            f"{args.suite} runs the P_g pipeline to g-max + 1, and the "
+            f"pipeline limit is {MAX_PIPELINE_GENUS}"
+        )
     sigmas = tuple(args.sigma_list) if args.sigma_list else None
     results = verify.run_suite(
         args.suite, n_max=args.n_max, g_max=args.g_max, sigmas=sigmas

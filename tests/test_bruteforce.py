@@ -121,6 +121,26 @@ def test_merge_and_validation():
         count_macromolecular(3, 0)
 
 
+def test_oracle_tables_cover_every_genus_but_only_their_chord_range():
+    full = count_by_genus(4)
+    assert full.count(5, 4) == 0  # the oracle saw every genus
+    joint = count_by_genus_onechords(3)
+    assert joint.count(7, 3, 0) == 0 and joint.count(7, 3) == 0
+    assert joint.genus_marginal().count(1, 3) == full.count(1, 3)
+    shapes, mm = count_shapes(2), count_macromolecular(4, 1)
+    for table, key in (
+        (full, (0, 5)), (joint, (0, 4, 0)), (joint, (0, 4)), (shapes, (0, 3, 1)), (mm, (0, 5))
+    ):
+        with pytest.raises(IndexError, match="outside this table"):
+            table.count(*key)
+
+
+def test_merge_refuses_tables_of_different_genus_ranges():
+    bounded = GenusTable("full", 2, {(0, 0): 1}, g_max=1)
+    with pytest.raises(ValueError, match="genus ranges"):
+        count_by_genus(2).merge(bounded)
+
+
 def test_mm_single_sigma_matches_multi():
     multi = count_macromolecular_multi(7, (2,))[2]
     single = count_macromolecular(7, 2)

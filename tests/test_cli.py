@@ -1,13 +1,24 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
 import csv
 import io
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from chordgenus import bruteforce, recurrences
-from chordgenus.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, MAX_PIPELINE_GENUS, main
+from chordgenus import bruteforce, cli, recurrences
+from chordgenus.cli import (
+    EXIT_MISMATCH,
+    EXIT_OK,
+    EXIT_USAGE,
+    MAX_BIVARIATE_N,
+    MAX_PIPELINE_GENUS,
+    main,
+)
 
 
 def run_cli(capsys, *argv):
@@ -99,6 +110,152 @@ class TestTable:
         )
         assert code == EXIT_OK
         assert out.splitlines()[0] == "g,n,m,count"
+
+
+def dict_row_rendering(doc, fieldnames, rows, fmt):
+    """The rendering the table emitter replaced, kept as its witness.
+
+    Every row becomes a dict of decimal strings; JSON goes through
+    ``json.dump(indent=2, sort_keys=True)``, CSV through ``csv.DictWriter``.
+    """
+    dict_rows = [{k: cli._fmt(v) for k, v in zip(fieldnames, row)} for row in rows]
+    out = io.StringIO()
+    if fmt == "csv":
+        writer = csv.DictWriter(out, fieldnames=fieldnames, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(dict_rows)
+    else:
+        json.dump({**doc, "payload": {"rows": dict_rows}}, out, indent=2, sort_keys=True)
+        out.write("\n")
+    return out.getvalue()
+
+
+class TestTableEmitter:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("source", ["oracle", "formula"])
+    @pytest.mark.parametrize(
+        "table_class", [("cg",), ("cg-m",), ("shapes",), ("mm", "--sigma", "2")]
+    )
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            ("--n-max", "0"),
+            ("--n-max", "4"),
+            ("--n-max", "5", "--g-max", "1"),
+            ("--n-max", "3", "--g-max", "4"),
+            ("--n-max", "6", "--g", "1"),
+        ],
+    )
+    def test_output_equals_the_dict_row_rendering(
+        self, capsys, fmt, source, table_class, bounds
+    ):
+        argv = ["table", *table_class, *bounds, "--source", source, "--format", fmt]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_OK, err
+        fieldnames, rows = cli._table_rows(cli.build_parser().parse_args(argv))
+        rows = list(rows)
+        assert rows
+        doc = {"metadata": json.loads(out)["metadata"]} if fmt == "json" else {}
+        assert out == dict_row_rendering(doc, fieldnames, rows, fmt)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(0, 1, Fraction(1, 3)), (1, 2, Fraction(-5, 2)), (2, 0, 7), (3, 4, Fraction(6))],
+            [],
+        ],
+    )
+    def test_fraction_values_and_empty_tables(self, fmt, rows):
+        doc = {"metadata": {"command": "table"}, "payload": {"rows": []}}
+        out = io.StringIO()
+        cli._emit_table(doc, ("g", "n", "count"), iter(rows), fmt, out)
+        assert out.getvalue() == dict_row_rendering(doc, ("g", "n", "count"), rows, fmt)
+
+    def test_rows_span_several_batches(self, monkeypatch):
+        monkeypatch.setattr(cli, "ROW_BATCH", 3)
+        doc = {"metadata": {}, "payload": {"rows": []}}
+        rows = [(g, n, g * n) for g in range(3) for n in range(4)]
+        out = io.StringIO()
+        cli._emit_table(doc, ("g", "n", "count"), iter(rows), "json", out)
+        assert out.getvalue() == dict_row_rendering(doc, ("g", "n", "count"), rows, "json")
+
+
+class TestTableLimits:
+    def test_bivariate_limit_admits_the_benchmarked_sizes(self):
+        assert MAX_BIVARIATE_N >= 10
+
+    @pytest.mark.parametrize("table_class", ["cg-m", "shapes"])
+    def test_bivariate_formula_tables_past_the_limit_are_refused(self, capsys, table_class):
+        code, out, err = run_cli(
+            capsys, "table", table_class, "--n-max", str(MAX_BIVARIATE_N + 1), "--g-max", "0"
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert f"limit {MAX_BIVARIATE_N}" in err
+
+    def test_the_bivariate_limit_leaves_other_tables_alone(self, capsys):
+        n = str(MAX_BIVARIATE_N + 1)
+        doc = run_json(capsys, "table", "cg", "--n-max", n, "--g-max", "0")
+        assert len(doc["payload"]["rows"]) == MAX_BIVARIATE_N + 2
+        doc = run_json(capsys, "table", "mm", "--sigma", "1", "--g", "0", "--n-max", n)
+        assert len(doc["payload"]["rows"]) == MAX_BIVARIATE_N + 2
+
+    @pytest.mark.parametrize("suite", ["polys", "all"])
+    def test_verify_g_max_past_the_pipeline_limit_is_refused(self, capsys, suite):
+        code, out, err = run_cli(
+            capsys, "verify", suite, "--g-max", str(MAX_PIPELINE_GENUS)
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert "--g-max" in err and f"limit is {MAX_PIPELINE_GENUS}" in err
+
+    def test_verify_g_max_limit_counts_the_extra_genus(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_PIPELINE_GENUS", 4)
+        code, out, _ = run_cli(capsys, "verify", "polys", "--g-max", "3")
+        assert code == EXIT_OK and "(g <= 4)" in out
+        code, _, err = run_cli(capsys, "verify", "polys", "--g-max", "4")
+        assert code == EXIT_USAGE and "exceeds 3" in err
+
+    def test_verify_suites_without_the_pipeline_ignore_g_max(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "hz", "--n-max", "3", "--g-max", str(MAX_PIPELINE_GENUS)
+        )
+        assert code == EXIT_OK and "[FAIL]" not in out
+
+
+def _maybe(values):
+    return st.one_of(st.none(), st.sampled_from(values))
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    table_class=st.sampled_from(["cg", "cg-m", "shapes", "mm"]),
+    source=st.sampled_from(["oracle", "formula"]),
+    fmt=st.sampled_from(["json", "csv"]),
+    n_max=st.integers(-2, 6),
+    g_max=_maybe(range(-1, 5)),
+    g=_maybe(range(-1, 5)),
+    sigma=_maybe(range(-1, 4)),
+)
+def test_table_argv_fuzz_exits_cleanly(table_class, source, fmt, n_max, g_max, g, sigma):
+    argv = ["table", table_class, "--n-max", str(n_max), "--source", source, "--format", fmt]
+    for flag, value in (("--g-max", g_max), ("--g", g), ("--sigma", sigma)):
+        if value is not None:
+            argv += [flag, str(value)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_MISMATCH, EXIT_USAGE)
+    if code == EXIT_OK:
+        if fmt == "json":
+            assert json.loads(out.getvalue())["payload"]["rows"]
+        else:
+            assert out.getvalue().splitlines()[0].endswith(",count")
+    else:
+        assert out.getvalue() == "" and err.getvalue().startswith(("error:", "mathematical"))
 
 
 class TestPoly:

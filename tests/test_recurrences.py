@@ -33,6 +33,15 @@ def test_known_columns():
     assert tbl.count(3, 6) == 1485
 
 
+def test_recursion_table_refuses_counts_it_did_not_compute():
+    tbl = diagram_count_table(2, 6)
+    assert tbl.count(2, 6) == 6468
+    assert tbl.count(2, 3) == 0  # below 2g chords, inside the range
+    for g, n in ((3, 6), (3, 2), (0, 7), (2, 7)):
+        with pytest.raises(IndexError, match="outside this table"):
+            tbl.count(g, n)
+
+
 def test_explicit_zeros_are_stored():
     tbl = diagram_count_table(3, 4)
     assert (3, 4) in tbl.entries and tbl.entries[(3, 4)] == 0
