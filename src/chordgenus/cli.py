@@ -3,7 +3,8 @@
 Every payload renders integers and rationals as decimal strings so that
 consumers with 64-bit number types never corrupt exact values.  JSON is the
 default format; CSV is offered for tables only.  Exit status: 0 all good,
-1 mathematical mismatch, 2 usage or cap error.
+1 mathematical mismatch, 2 usage or cap error, or a reader that closed
+standard output before the payload was written.
 """
 
 from __future__ import annotations
@@ -183,6 +184,9 @@ def cmd_table(args, stream) -> int:
     for flag, value in (("n-max", args.n_max), ("g-max", args.g_max), ("g", args.g)):
         if value is not None and value < 0:
             raise ValueError(f"{flag} must be >= 0")
+    if args.g_max is not None:
+        # every genus up to g-max gets its rows, for either source
+        _check_order_cap(args.g_max, "g-max")
     if args.source == "formula":
         _check_order_cap(args.n_max, "n-max")
         if args.table_class in ("cg-m", "shapes") and args.n_max > MAX_BIVARIATE_N:
@@ -467,7 +471,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, sys.stdout)
+        code = args.func(args, sys.stdout)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early; point fd 1 at devnull so the
+        # interpreter's final flush of the dead pipe stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

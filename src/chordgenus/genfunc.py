@@ -53,12 +53,6 @@ class RationalFunction:
             )
         return self.num.as_series(order).divide(self.den.as_series(order))
 
-    def evaluate(self, z: Fraction) -> Fraction:
-        d = self.den(z)
-        if d == 0:
-            raise ZeroDivisionError(f"denominator vanishes at {z}")
-        return self.num(z) / d
-
 
 # ---------------------------------------------------------------------------
 # univariate series

@@ -43,8 +43,28 @@ class CheckResult:
         return "PASS" if self.passed else "FAIL"
 
 
-def _result(suite: str, name: str, passed: bool, detail: str, info: bool = False) -> CheckResult:
-    return CheckResult(suite=suite, name=name, passed=passed, detail=detail, info=info)
+def first_mismatch(keys, left, right):
+    """The first ``(key, left(key), right(key))`` whose two values differ, or None.
+
+    Keys are consumed in order and nothing past the first mismatch is
+    evaluated, so a lazy key stream and costly routes stop early.
+    """
+    for key in keys:
+        a, b = left(key), right(key)
+        if a != b:
+            return key, a, b
+    return None
+
+
+def _check(
+    suite, name, keys, left, right, ok_detail, fail_detail, info=False
+) -> CheckResult:
+    """One row: ``ok_detail`` if the routes agree on every key, else
+    ``fail_detail(key, left(key), right(key))`` at the first key they differ."""
+    bad = first_mismatch(keys, left, right)
+    if bad is None:
+        return CheckResult(suite, name, True, ok_detail, info)
+    return CheckResult(suite, name, False, fail_detail(*bad), info)
 
 
 # ---------------------------------------------------------------------------
@@ -53,46 +73,28 @@ def _result(suite: str, name: str, passed: bool, detail: str, info: bool = False
 
 
 def suite_oracle(n_max: int = 6) -> list[CheckResult]:
-    out = []
     oracle = bruteforce.count_by_genus(n_max)
     table = recurrences.diagram_count_table(n_max // 2, n_max)
-    bad = None
-    for n in range(n_max + 1):
-        for g in range(n // 2 + 1):
-            if oracle.count(g, n) != table.count(g, n):
-                bad = (g, n, table.count(g, n), oracle.count(g, n))
-                break
-        if bad:
-            break
-    out.append(
-        _result(
+    return [
+        _check(
             "oracle",
             f"recursion equals enumeration (n <= {n_max})",
-            bad is None,
-            "all counts equal"
-            if bad is None
-            else f"first counterexample c_{bad[0]}({bad[1]}): recursion {bad[2]}, oracle {bad[3]}",
-        )
-    )
-    bad = None
-    for n in range(31):
-        total = sum(
-            recurrences.diagram_count(g, n) for g in range(n // 2 + 1)
-        )
-        if total != bruteforce.double_factorial_odd(n):
-            bad = (n, total, bruteforce.double_factorial_odd(n))
-            break
-    out.append(
-        _result(
+            ((g, n) for n in range(n_max + 1) for g in range(n // 2 + 1)),
+            lambda k: table.count(*k),
+            lambda k: oracle.count(*k),
+            "all counts equal",
+            lambda k, rec, orc: f"first counterexample c_{k[0]}({k[1]}): recursion {rec}, oracle {orc}",
+        ),
+        _check(
             "oracle",
             "genus totals sum to (2n-1)!! (n <= 30)",
-            bad is None,
-            "all totals equal"
-            if bad is None
-            else f"first counterexample n={bad[0]}: sum {bad[1]}, double factorial {bad[2]}",
-        )
-    )
-    return out
+            range(31),
+            lambda n: sum(recurrences.diagram_count(g, n) for g in range(n // 2 + 1)),
+            bruteforce.double_factorial_odd,
+            "all totals equal",
+            lambda n, total, dfac: f"first counterexample n={n}: sum {total}, double factorial {dfac}",
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -101,51 +103,41 @@ def suite_oracle(n_max: int = 6) -> list[CheckResult]:
 
 
 def suite_hz(n_max: int = 10, eval_n: int = 6) -> list[CheckResult]:
-    out = []
     rows = recurrences.boundary_polynomials(n_max)
     indep = recurrences.boundary_polynomials_independent(n_max)
-    bad = None
-    for n in range(n_max + 1):
-        if rows.poly(n) != indep.poly(n):
-            bad = (n, rows.poly(n).coeffs, indep.poly(n).coeffs)
-            break
-    out.append(
-        _result(
-            "hz",
-            f"boundary polynomials: recursion equals exp/log route (n <= {n_max})",
-            bad is None,
-            "all polynomials equal"
-            if bad is None
-            else f"first counterexample n={bad[0]}: {bad[1]} vs {bad[2]}",
-        )
-    )
     eval_n = min(eval_n, n_max)  # rows holds polynomials up to n_max only
     oracle = bruteforce.count_by_genus(eval_n)
-    bad = None
-    for n in range(eval_n + 1):
-        dfac = bruteforce.double_factorial_odd(n)
-        for x in range(1, eval_n + 1):
-            lhs = rows.evaluate(n, Fraction(x)) * dfac
-            rhs = sum(
-                oracle.count(g, n) * Fraction(x) ** (n + 1 - 2 * g)
-                for g in range(n // 2 + 1)
-            )
-            if lhs != rhs:
-                bad = (n, x, lhs, rhs)
-                break
-        if bad:
-            break
-    out.append(
-        _result(
+
+    def by_polynomial(k):
+        n, x = k
+        return rows.evaluate(n, Fraction(x)) * bruteforce.double_factorial_odd(n)
+
+    def by_genus(k):
+        n, x = k
+        return sum(
+            oracle.count(g, n) * Fraction(x) ** (n + 1 - 2 * g) for g in range(n // 2 + 1)
+        )
+
+    return [
+        _check(
+            "hz",
+            f"boundary polynomials: recursion equals exp/log route (n <= {n_max})",
+            range(n_max + 1),
+            rows.poly,
+            indep.poly,
+            "all polynomials equal",
+            lambda n, p, q: f"first counterexample n={n}: {p.coeffs} vs {q.coeffs}",
+        ),
+        _check(
             "hz",
             f"evaluation identity against oracle counts (n <= {eval_n})",
-            bad is None,
-            "identity holds at all sample points"
-            if bad is None
-            else f"first counterexample n={bad[0]}, x={bad[1]}: {bad[2]} != {bad[3]}",
-        )
-    )
-    return out
+            ((n, x) for n in range(eval_n + 1) for x in range(1, eval_n + 1)),
+            by_polynomial,
+            by_genus,
+            "identity holds at all sample points",
+            lambda k, lhs, rhs: f"first counterexample n={k[0]}, x={k[1]}: {lhs} != {rhs}",
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -153,93 +145,72 @@ def suite_hz(n_max: int = 10, eval_n: int = 6) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
+def _polynomial_invariants_hold(g: int) -> bool:
+    p = genfunc.genus_polynomial(g)
+    return (
+        p.is_integral()
+        and p.degree <= 3 * g - 1
+        and (p.valuation() or 0) >= 2 * g
+        and p(Fraction(1, 4)) != 0
+        and genfunc.reduced_genus_polynomial(g).coeff(0)
+        == recurrences.diagram_count_min_chords(g)
+    )
+
+
+def _ode_counterexample(g: int, *_) -> str:
+    res = genfunc.ode_residual(g, 12)
+    k = res.valuation()
+    return f"first counterexample g={g}: z^{k} coefficient {res.coeff(k)}"
+
+
 def suite_polys(g_max: int = 5) -> list[CheckResult]:
-    out = []
-    bad = None
-    for g, expected in GOLDEN_GENUS_POLYNOMIALS.items():
-        if g > g_max:
-            continue
-        if genfunc.genus_polynomial(g) != expected:
-            bad = (g, genfunc.genus_polynomial(g).coeffs, expected.coeffs)
-            break
-    out.append(
-        _result(
+    return [
+        _check(
             "polys",
             f"golden polynomials P_1..P_{min(g_max, 5)}",
-            bad is None,
-            "all coefficients match"
-            if bad is None
-            else f"first counterexample P_{bad[0]}: {bad[1]} vs {bad[2]}",
-        )
-    )
-    bad = None
-    for g in range(1, g_max + 2):
-        if genfunc.genus_polynomial_direct(g) != genfunc.genus_polynomial(g):
-            bad = g
-            break
-    out.append(
-        _result(
+            (g for g in GOLDEN_GENUS_POLYNOMIALS if g <= g_max),
+            genfunc.genus_polynomial,
+            GOLDEN_GENUS_POLYNOMIALS.__getitem__,
+            "all coefficients match",
+            lambda g, p, q: f"first counterexample P_{g}: {p.coeffs} vs {q.coeffs}",
+        ),
+        _check(
             "polys",
             f"direct route equals pipeline (g <= {g_max + 1})",
-            bad is None,
-            "both routes agree" if bad is None else f"first counterexample g={bad}",
-        )
-    )
-    bad = None
-    for g in range(1, g_max + 2):
-        p = genfunc.genus_polynomial(g)
-        r = genfunc.reduced_genus_polynomial(g)
-        ok = (
-            p.is_integral()
-            and p.degree <= 3 * g - 1
-            and (p.valuation() or 0) >= 2 * g
-            and p(Fraction(1, 4)) != 0
-            and r.coeff(0) == recurrences.diagram_count_min_chords(g)
-        )
-        if not ok:
-            bad = (g, p.coeffs)
-            break
-    out.append(
-        _result(
+            range(1, g_max + 2),
+            genfunc.genus_polynomial_direct,
+            genfunc.genus_polynomial,
+            "both routes agree",
+            lambda g, *_: f"first counterexample g={g}",
+        ),
+        _check(
             "polys",
             f"polynomial invariants (g <= {g_max + 1})",
-            bad is None,
-            "integrality, degree, divisibility, nonvanishing all hold"
-            if bad is None
-            else f"first counterexample g={bad[0]}: {bad[1]}",
-        )
-    )
-    bad = None
-    for g in range(1, min(g_max, 4) + 1):
-        if genfunc.genus_series_closed_form(g, 15) != genfunc.genus_series(g, 15):
-            bad = g
-            break
-    out.append(
-        _result(
+            range(1, g_max + 2),
+            _polynomial_invariants_hold,
+            lambda g: True,
+            "integrality, degree, divisibility, nonvanishing all hold",
+            lambda g, *_: f"first counterexample g={g}: {genfunc.genus_polynomial(g).coeffs}",
+        ),
+        _check(
             "polys",
             f"closed-form series equals recursion (g <= {min(g_max, 4)}, order 15)",
-            bad is None,
-            "series agree" if bad is None else f"first counterexample g={bad}",
-        )
-    )
-    bad = None
-    for g in range(1, min(g_max, 5) + 1):
-        res = genfunc.ode_residual(g, 12)
-        if not res.is_zero():
-            k = res.valuation()
-            bad = (g, k, res.coeff(k))
-            break
-    out.append(
-        _result(
+            range(1, min(g_max, 4) + 1),
+            lambda g: genfunc.genus_series_closed_form(g, 15),
+            lambda g: genfunc.genus_series(g, 15),
+            "series agree",
+            lambda g, *_: f"first counterexample g={g}",
+        ),
+        _check(
             "polys",
             f"differential equation residual vanishes (g <= {min(g_max, 5)}, order 12)",
-            bad is None,
-            "residual is the zero series"
-            if bad is None
-            else f"first counterexample g={bad[0]}: z^{bad[1]} coefficient {bad[2]}",
-        )
-    )
-    return out
+            range(1, min(g_max, 5) + 1),
+            lambda g: genfunc.ode_residual(g, 12).is_zero(),
+            lambda g: True,
+            "residual is the zero series",
+            _ode_counterexample,
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -248,99 +219,60 @@ def suite_polys(g_max: int = 5) -> list[CheckResult]:
 
 
 def suite_shapes(n_max: int = 5) -> list[CheckResult]:
-    out = []
     shp = bruteforce.count_shapes(n_max)
     joint = bruteforce.count_by_genus_onechords(n_max)
-    g_top = n_max // 2
-    bad = None
-    for g in range(g_top + 1):
-        sb = genfunc.shape_bivariate(g, n_max, n_max)
-        for n in range(n_max + 1):
-            for m in range(n_max + 1):
-                if sb.coeff(n, m) != shp.count(g, n, m):
-                    bad = (g, n, m, sb.coeff(n, m), shp.count(g, n, m))
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    out.append(
-        _result(
+    genera = range(n_max // 2 + 1)
+    shapes = {g: genfunc.shape_bivariate(g, n_max, n_max) for g in genera}
+    diagrams = {g: genfunc.diagram_bivariate(g, n_max, n_max) for g in genera}
+    cells = [(g, n, m) for g in genera for n in range(n_max + 1) for m in range(n_max + 1)]
+
+    return [
+        _check(
             "shapes",
             f"shape series equals oracle shape counts (n <= {n_max})",
-            bad is None,
-            "all coefficients equal"
-            if bad is None
-            else f"first counterexample s_{bad[0]}({bad[1]},{bad[2]}): series {bad[3]}, oracle {bad[4]}",
-        )
-    )
-    bad = None
-    for g in range(g_top + 1):
-        biv = genfunc.diagram_bivariate(g, n_max, n_max)
-        for n in range(n_max + 1):
-            for m in range(n_max + 1):
-                if biv.coeff(n, m) != joint.count(g, n, m):
-                    bad = (g, n, m, biv.coeff(n, m), joint.count(g, n, m))
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    out.append(
-        _result(
+            cells,
+            lambda k: shapes[k[0]].coeff(k[1], k[2]),
+            lambda k: shp.count(*k),
+            "all coefficients equal",
+            lambda k, ser, orc: f"first counterexample s_{k[0]}({k[1]},{k[2]}): series {ser}, oracle {orc}",
+        ),
+        _check(
             "shapes",
             f"refined diagram series equals oracle counts (n <= {n_max})",
-            bad is None,
-            "all coefficients equal"
-            if bad is None
-            else f"first counterexample c_{bad[0]}({bad[1]},{bad[2]}): series {bad[3]}, oracle {bad[4]}",
-        )
-    )
-    bad = None
-    for g in range(g_top + 1):
-        if genfunc.shape_bivariate_inflated(g, n_max, n_max) != genfunc.diagram_bivariate(
-            g, n_max, n_max
-        ):
-            bad = g
-            break
-    out.append(
-        _result(
+            cells,
+            lambda k: diagrams[k[0]].coeff(k[1], k[2]),
+            lambda k: joint.count(*k),
+            "all coefficients equal",
+            lambda k, ser, orc: f"first counterexample c_{k[0]}({k[1]},{k[2]}): series {ser}, oracle {orc}",
+        ),
+        _check(
             "shapes",
             "stack inflation carries shapes onto diagrams",
-            bad is None,
-            "substitution identity holds" if bad is None else f"first counterexample g={bad}",
-        )
-    )
-    bad = None
-    for g in range(min(g_top, 2) + 1):
-        res = genfunc.bivariate_pde_residual(g, 8, 8)
-        if not res.is_zero():
-            bad = g
-            break
-    out.append(
-        _result(
+            genera,
+            lambda g: genfunc.shape_bivariate_inflated(g, n_max, n_max),
+            diagrams.__getitem__,
+            "substitution identity holds",
+            lambda g, *_: f"first counterexample g={g}",
+        ),
+        _check(
             "shapes",
             "partial differential equation residual vanishes (orders (8,8))",
-            bad is None,
-            "residual is the zero grid" if bad is None else f"first counterexample g={bad}",
-        )
-    )
-    bad = None
-    for g in range(g_top + 1):
-        if genfunc.diagram_bivariate_fiber_sum(g, n_max, n_max, shp) != genfunc.diagram_bivariate(
-            g, n_max, n_max
-        ):
-            bad = g
-            break
-    out.append(
-        _result(
+            range(min(n_max // 2, 2) + 1),
+            lambda g: genfunc.bivariate_pde_residual(g, 8, 8).is_zero(),
+            lambda g: True,
+            "residual is the zero grid",
+            lambda g, *_: f"first counterexample g={g}",
+        ),
+        _check(
             "shapes",
             "fiber sum over shapes reproduces the diagram series",
-            bad is None,
-            "fiber decomposition holds" if bad is None else f"first counterexample g={bad}",
-        )
-    )
-    return out
+            genera,
+            lambda g: genfunc.diagram_bivariate_fiber_sum(g, n_max, n_max, shp),
+            diagrams.__getitem__,
+            "fiber decomposition holds",
+            lambda g, *_: f"first counterexample g={g}",
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -349,69 +281,48 @@ def suite_shapes(n_max: int = 5) -> list[CheckResult]:
 
 
 def suite_mm(n_max: int = 10, sigmas: tuple[int, ...] = (1, 2)) -> list[CheckResult]:
-    out = []
     oracle = bruteforce.count_macromolecular_multi(n_max, sigmas)
-    for sigma in sigmas:
-        bad = None
-        for g in (1, 2):
-            ser = genfunc.macromolecular_series(g, sigma, n_max)
-            for n in range(n_max + 1):
-                if ser.coeff(n) != oracle[sigma].count(g, n):
-                    bad = (g, n, ser.coeff(n), oracle[sigma].count(g, n))
-                    break
-            if bad:
-                break
-        out.append(
-            _result(
-                "mm",
-                f"closed form equals oracle (sigma={sigma}, g in 1..2, n <= {n_max})",
-                bad is None,
-                "all coefficients equal"
-                if bad is None
-                else f"first counterexample d_{bad[0]},{sigma}({bad[1]}): series {bad[2]}, oracle {bad[3]}",
-            )
-        )
-    for sigma in sigmas:
-        ser = genfunc.macromolecular_series(0, sigma, n_max)
-        bad = None
-        for n in range(n_max + 1):
-            if ser.coeff(n) != oracle[sigma].count(0, n):
-                bad = (n, ser.coeff(n), oracle[sigma].count(0, n))
-                break
-        out.append(
-            _result(
-                "mm",
-                f"genus-0 extension equals oracle (sigma={sigma}, n <= {n_max})",
-                bad is None,
-                "extension agrees (outside the stated theory, reported only)"
-                if bad is None
-                else f"first counterexample d_0,{sigma}({bad[0]}): series {bad[1]}, oracle {bad[2]}",
-                info=True,
-            )
-        )
+    series = {
+        (sigma, g): genfunc.macromolecular_series(g, sigma, n_max)
+        for sigma in sigmas
+        for g in (0, 1, 2)
+    }
     shp = bruteforce.count_shapes(max(2, n_max // 2))
-    bad = None
-    for sigma in sigmas:
-        for g in (1,):
-            lhs = genfunc.macromolecular_series_fiber_sum(g, sigma, n_max, shp)
-            rhs = genfunc.macromolecular_series(g, sigma, n_max)
-            if lhs != rhs:
-                k = (lhs - rhs).valuation()
-                bad = (sigma, g, k)
-                break
-        if bad:
-            break
-    out.append(
-        _result(
+    closed_forms = [
+        _check(
             "mm",
-            f"fiber sum equals closed form (order {n_max})",
-            bad is None,
-            "fiber decomposition holds"
-            if bad is None
-            else f"first counterexample sigma={bad[0]}, g={bad[1]}, z^{bad[2]}",
+            f"closed form equals oracle (sigma={sigma}, g in 1..2, n <= {n_max})",
+            ((g, n) for g in (1, 2) for n in range(n_max + 1)),
+            lambda k: series[sigma, k[0]].coeff(k[1]),
+            lambda k: oracle[sigma].count(*k),
+            "all coefficients equal",
+            lambda k, ser, orc: f"first counterexample d_{k[0]},{sigma}({k[1]}): series {ser}, oracle {orc}",
         )
+        for sigma in sigmas
+    ]
+    extensions = [
+        _check(
+            "mm",
+            f"genus-0 extension equals oracle (sigma={sigma}, n <= {n_max})",
+            range(n_max + 1),
+            series[sigma, 0].coeff,
+            lambda n: oracle[sigma].count(0, n),
+            "extension agrees (outside the stated theory, reported only)",
+            lambda n, ser, orc: f"first counterexample d_0,{sigma}({n}): series {ser}, oracle {orc}",
+            info=True,
+        )
+        for sigma in sigmas
+    ]
+    fiber_sum = _check(
+        "mm",
+        f"fiber sum equals closed form (order {n_max})",
+        ((sigma, 1) for sigma in sigmas),
+        lambda k: genfunc.macromolecular_series_fiber_sum(k[1], k[0], n_max, shp),
+        series.__getitem__,
+        "fiber decomposition holds",
+        lambda k, lhs, rhs: f"first counterexample sigma={k[0]}, g={k[1]}, z^{(lhs - rhs).valuation()}",
     )
-    return out
+    return closed_forms + extensions + [fiber_sum]
 
 
 # ---------------------------------------------------------------------------
@@ -420,63 +331,49 @@ def suite_mm(n_max: int = 10, sigmas: tuple[int, ...] = (1, 2)) -> list[CheckRes
 
 
 def suite_asymptotics() -> list[CheckResult]:
-    out = []
     s5 = asym.bracket_sqrt(Fraction(5))
     growth1 = asym.macromolecular_growth_interval(1)
-    ok = growth1.lo <= (3 + s5.hi) / 2 and (3 + s5.lo) / 2 <= growth1.hi
-    out.append(
-        _result(
-            "asymptotics",
-            "sigma=1 growth rate equals (3+sqrt5)/2",
-            ok,
-            f"certified interval [{float(growth1.lo):.12f}, {float(growth1.hi):.12f}]",
-        )
-    )
     growth2 = asym.macromolecular_growth_interval(2)
-    ok = growth2.width <= Fraction(1, 10 ** 9) and growth2.within(
-        asym.RationalInterval(Fraction(19679, 10000), Fraction(19680, 10000))
-    )
-    out.append(
-        _result(
-            "asymptotics",
-            "sigma=2 growth rate certified",
-            ok,
-            f"1/rho_2 in [{float(growth2.lo):.12f}, {float(growth2.hi):.12f}]; "
-            f"coarse reference 1.9685 off by {float(abs(growth2.midpoint() - Fraction(19685, 10000))):.2e}",
-        )
-    )
     ratio = asym.macromolecular_growth_ratio(1, 1, 200)
     target = growth1.midpoint()
-    ok = abs(ratio / target - 1) <= Fraction(1, 100)
-    out.append(
-        _result(
+    est = asym.leading_constant(1)
+    iv = asym.asymptotic_ratio_interval(1, 500)
+    return [
+        CheckResult(
+            "asymptotics",
+            "sigma=1 growth rate equals (3+sqrt5)/2",
+            growth1.lo <= (3 + s5.hi) / 2 and (3 + s5.lo) / 2 <= growth1.hi,
+            f"certified interval [{float(growth1.lo):.12f}, {float(growth1.hi):.12f}]",
+        ),
+        CheckResult(
+            "asymptotics",
+            "sigma=2 growth rate certified",
+            growth2.width <= Fraction(1, 10 ** 9)
+            and growth2.within(
+                asym.RationalInterval(Fraction(19679, 10000), Fraction(19680, 10000))
+            ),
+            f"1/rho_2 in [{float(growth2.lo):.12f}, {float(growth2.hi):.12f}]; "
+            f"coarse reference 1.9685 off by {float(abs(growth2.midpoint() - Fraction(19685, 10000))):.2e}",
+        ),
+        CheckResult(
             "asymptotics",
             "empirical sigma=1 ratio within 1% of certified rate (n=200)",
-            ok,
+            abs(ratio / target - 1) <= Fraction(1, 100),
             f"ratio {float(ratio):.6f} vs {float(target):.6f}",
-        )
-    )
-    est = asym.leading_constant(1)
-    ok = est.rational_factor == Fraction(1, 12)
-    out.append(
-        _result(
+        ),
+        CheckResult(
             "asymptotics",
             "genus-1 leading constant is 1/(12 sqrt pi)",
-            ok,
+            est.rational_factor == Fraction(1, 12),
             f"rational factor {est.rational_factor}",
-        )
-    )
-    iv = asym.asymptotic_ratio_interval(1, 500)
-    ok = iv.within(asym.RationalInterval(Fraction(98, 100), Fraction(102, 100)))
-    out.append(
-        _result(
+        ),
+        CheckResult(
             "asymptotics",
             "count/asymptote ratio within 2% at n=500",
-            ok,
+            iv.within(asym.RationalInterval(Fraction(98, 100), Fraction(102, 100))),
             f"ratio interval [{float(iv.lo):.6f}, {float(iv.hi):.6f}]",
-        )
-    )
-    return out
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -496,26 +393,21 @@ def run_suite(
     for flag, value in (("n_max", n_max), ("g_max", g_max)):
         if value is not None and value < 1:
             raise ValueError(f"{flag} must be >= 1, got {value}")
-    if name == "all":
-        results = []
-        results += suite_oracle(6 if n_max is None else n_max)
-        results += suite_hz(10 if n_max is None else n_max)
-        results += suite_polys(5 if g_max is None else g_max)
-        results += suite_shapes(5 if n_max is None else min(n_max, 6))
-        results += suite_mm(10 if n_max is None else n_max, sigmas or (1, 2))
-        results += suite_asymptotics()
-        return results
-    if name == "oracle":
-        return suite_oracle(6 if n_max is None else n_max)
-    if name == "hz":
-        return suite_hz(10 if n_max is None else n_max)
-    if name == "polys":
-        return suite_polys(5 if g_max is None else g_max)
-    if name == "shapes":
-        return suite_shapes(5 if n_max is None else n_max)
-    if name == "mm":
-        return suite_mm(10 if n_max is None else n_max, sigmas or (1, 2))
-    return suite_asymptotics()
+    # a suite's defaults are its keyword defaults; only given limits are passed
+    n = {} if n_max is None else {"n_max": n_max}
+    g = {} if g_max is None else {"g_max": g_max}
+    s = {"sigmas": sigmas} if sigmas else {}
+    # "all" holds the shape suite (two oracles and n x n bivariate series) to n <= 6
+    n_shapes = {"n_max": min(n_max, 6)} if n and name == "all" else n
+    suites = {
+        "oracle": lambda: suite_oracle(**n),
+        "hz": lambda: suite_hz(**n),
+        "polys": lambda: suite_polys(**g),
+        "shapes": lambda: suite_shapes(**n_shapes),
+        "mm": lambda: suite_mm(**n, **s),
+        "asymptotics": suite_asymptotics,
+    }
+    return [r for suite in (suites if name == "all" else (name,)) for r in suites[suite]()]
 
 
 def all_passed(results: list[CheckResult]) -> bool:

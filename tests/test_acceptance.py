@@ -37,15 +37,7 @@ from chordgenus.recurrences import (
     min_chords_egf,
     min_chords_egf_closed,
 )
-from chordgenus.series import Poly
-
-GOLDEN = {
-    1: Poly([0, 0, 1]),
-    2: Poly([0, 0, 0, 0, 21, 21]),
-    3: Poly([0, 0, 0, 0, 0, 0, 1485, 6138, 1738]),
-    4: Poly([0] * 8 + [225225, 1957527, 2628054, 334477]),
-    5: Poly([0] * 10 + [59520825, 851809140, 2536380756, 1667288532, 119394366]),
-}
+from chordgenus.verify import GOLDEN_GENUS_POLYNOMIALS
 
 
 def test_criterion_01_oracle_equivalence(oracle_joint8, acceptance_report):
@@ -83,7 +75,7 @@ def test_criterion_02_total_counts(acceptance_report):
 
 
 def test_criterion_03_golden_polynomials(acceptance_report):
-    mism = [g for g, p in GOLDEN.items() if genus_polynomial(g) != p]
+    mism = [g for g, p in GOLDEN_GENUS_POLYNOMIALS.items() if genus_polynomial(g) != p]
     p6 = genus_polynomial(6)
     invariants6 = (
         p6.is_integral()

@@ -4,14 +4,19 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from chordgenus import bruteforce, cli, recurrences
+import chordgenus
+from chordgenus import bruteforce, cli, genfunc, recurrences, verify
 from chordgenus.cli import (
+    DEFAULT_ORDER_CAP,
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
@@ -19,6 +24,7 @@ from chordgenus.cli import (
     MAX_PIPELINE_GENUS,
     main,
 )
+from chordgenus.series import BiSeries, Series
 
 
 def run_cli(capsys, *argv):
@@ -31,6 +37,20 @@ def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_OK, err
     return json.loads(out)
+
+
+def off_by_one(table, key):
+    """A copy of a counting table whose count at ``key`` is one too high."""
+    entries = dict(table.entries)
+    entries[key] = entries.get(key, 0) + 1
+    return bruteforce.GenusTable(
+        class_tag=table.class_tag,
+        n_max=table.n_max,
+        entries=entries,
+        with_onechords=table.with_onechords,
+        sigma=table.sigma,
+        source=table.source,
+    )
 
 
 class TestTable:
@@ -215,6 +235,17 @@ class TestTableLimits:
         code, _, err = run_cli(capsys, "verify", "polys", "--g-max", "4")
         assert code == EXIT_USAGE and "exceeds 3" in err
 
+    @pytest.mark.parametrize("source", ["oracle", "formula"])
+    def test_g_max_past_the_order_cap_is_refused(self, capsys, monkeypatch, source):
+        g_max = str(DEFAULT_ORDER_CAP + 1)
+        argv = ("table", "cg", "--n-max", "2", "--g-max", g_max, "--source", source)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert f"g-max {g_max} exceeds the cap {DEFAULT_ORDER_CAP}" in err
+        monkeypatch.setenv("CHORDGENUS_ORDER_CAP", g_max)
+        doc = run_json(capsys, *argv)
+        assert len(doc["payload"]["rows"]) == (DEFAULT_ORDER_CAP + 2) * 3
+
     def test_verify_suites_without_the_pipeline_ignore_g_max(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "hz", "--n-max", "3", "--g-max", str(MAX_PIPELINE_GENUS)
@@ -256,6 +287,38 @@ def test_table_argv_fuzz_exits_cleanly(table_class, source, fmt, n_max, g_max, g
             assert out.getvalue().splitlines()[0].endswith(",count")
     else:
         assert out.getvalue() == "" and err.getvalue().startswith(("error:", "mathematical"))
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    suite=st.sampled_from(verify.SUITE_NAMES),
+    fmt=st.sampled_from(["text", "json"]),
+    n_max=_maybe(range(-1, 5)),
+    g_max=_maybe(range(-1, 5)),
+    sigmas=st.lists(st.integers(0, 3), max_size=3),
+)
+def test_verify_argv_fuzz_exits_cleanly(suite, fmt, n_max, g_max, sigmas):
+    argv = ["verify", suite, "--format", fmt]
+    for flag, value in (("--n-max", n_max), ("--g-max", g_max)):
+        if value is not None:
+            argv += [flag, str(value)]
+    for sigma in sigmas:
+        argv += ["--sigma", str(sigma)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_MISMATCH, EXIT_USAGE)
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_USAGE:
+        assert out.getvalue() == "" and err.getvalue().startswith("error:")
+    elif fmt == "json":
+        assert json.loads(out.getvalue())["payload"]["passed"] is (code == EXIT_OK)
+    else:
+        assert out.getvalue().splitlines()[-1].endswith("informational)")
 
 
 class TestPoly:
@@ -408,25 +471,83 @@ class TestVerify:
 
     def test_corrupted_table_fails_with_counterexample(self, capsys, monkeypatch):
         real = recurrences.diagram_count_table
-
-        def corrupted(g_max, n_max):
-            table = real(g_max, n_max)
-            entries = dict(table.entries)
-            entries[(1, 4)] = 71  # truth is 70
-            return bruteforce.GenusTable(
-                class_tag=table.class_tag,
-                n_max=table.n_max,
-                entries=entries,
-                with_onechords=table.with_onechords,
-                sigma=table.sigma,
-                source=table.source,
-            )
-
-        monkeypatch.setattr(recurrences, "diagram_count_table", corrupted)
+        monkeypatch.setattr(
+            recurrences,
+            "diagram_count_table",
+            lambda g_max, n_max: off_by_one(real(g_max, n_max), (1, 4)),  # truth is 70
+        )
         code, out, _ = run_cli(capsys, "verify", "oracle", "--n-max", "5")
         assert code == EXIT_MISMATCH
         assert "[FAIL]" in out
         assert "counterexample" in out and "c_1(4)" in out
+        assert (
+            "[FAIL] oracle: recursion equals enumeration (n <= 5)"
+            " -- first counterexample c_1(4): recursion 71, oracle 70\n"
+        ) in out
+
+    def test_corrupted_oracle_fails_the_evaluation_identity(self, capsys, monkeypatch):
+        real = bruteforce.count_by_genus
+        monkeypatch.setattr(
+            bruteforce, "count_by_genus", lambda n_max: off_by_one(real(n_max), (1, 3))
+        )
+        code, out, _ = run_cli(capsys, "verify", "hz", "--n-max", "8")
+        assert code == EXIT_MISMATCH
+        assert (
+            "[FAIL] hz: evaluation identity against oracle counts (n <= 6)"
+            " -- first counterexample n=3, x=1: 15 != 16\n"
+        ) in out
+
+    def test_corrupted_residual_fails_with_its_lowest_term(self, capsys, monkeypatch):
+        real = genfunc.ode_residual
+
+        def corrupted(g, order):
+            coeffs = list(real(g, order).coeffs)
+            coeffs[11] += g == 3
+            return Series(coeffs)
+
+        monkeypatch.setattr(genfunc, "ode_residual", corrupted)
+        code, out, _ = run_cli(capsys, "verify", "polys")
+        assert code == EXIT_MISMATCH
+        assert (
+            "[FAIL] polys: differential equation residual vanishes (g <= 5, order 12)"
+            " -- first counterexample g=3: z^11 coefficient 1\n"
+        ) in out
+
+    def test_corrupted_shape_series_fails_both_of_its_witnesses(self, capsys, monkeypatch):
+        real = genfunc.shape_bivariate
+
+        def corrupted(g, order_x, order_y):
+            grid = [list(row) for row in real(g, order_x, order_y).coeffs]
+            grid[4][0] += g == 1
+            return BiSeries(grid)
+
+        monkeypatch.setattr(genfunc, "shape_bivariate", corrupted)
+        code, out, _ = run_cli(capsys, "verify", "shapes")
+        assert code == EXIT_MISMATCH
+        assert (
+            "[FAIL] shapes: shape series equals oracle shape counts (n <= 5)"
+            " -- first counterexample s_1(4,0): series 4, oracle 3\n"
+            "[PASS] shapes: refined diagram series equals oracle counts (n <= 5)"
+            " -- all coefficients equal\n"
+            "[FAIL] shapes: stack inflation carries shapes onto diagrams"
+            " -- first counterexample g=1\n"
+        ) in out
+
+    def test_corrupted_genus_zero_oracle_is_reported_not_failed(self, capsys, monkeypatch):
+        real = bruteforce.count_macromolecular_multi
+
+        def corrupted(n_max, sigmas):
+            tables = real(n_max, sigmas)
+            return {**tables, 1: off_by_one(tables[1], (0, 5))}
+
+        monkeypatch.setattr(bruteforce, "count_macromolecular_multi", corrupted)
+        code, out, _ = run_cli(capsys, "verify", "mm")
+        assert code == EXIT_OK
+        assert (
+            "[INFO] mm: genus-0 extension equals oracle (sigma=1, n <= 10)"
+            " -- first counterexample d_0,1(5): series 8, oracle 9\n"
+        ) in out
+        assert "[FAIL]" not in out
 
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -458,3 +579,19 @@ class TestPlumbing:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == EXIT_USAGE
+
+    def test_closed_stdout_exits_quietly(self):
+        src = os.path.dirname(os.path.dirname(chordgenus.__file__))
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "chordgenus", "table", "cg", "--n-max", "100"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.read(16)  # the 600 kB payload overflows any pipe buffer
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == EXIT_USAGE
+        assert err == b""
