@@ -3,8 +3,10 @@
 Counts here are produced by visiting every diagram of a class; nothing from
 the generating-function side is consulted.  Enumeration is deterministic
 (the lowest free vertex is paired first, partners in ascending order), so
-two runs build identical tables, and the full-diagram stream can be
-partitioned by the partner of vertex 1 with counts summed per part.
+two runs build identical tables.  A ``GenusTable`` holds its class tag, its
+chord range n_max, its entries, whether they carry the 1-chord index, and the
+genus range g_max (None here: an enumeration sees every genus).  The public
+streams wrap the arrays the enumerator built without validating them again.
 
 The counting tables come from one depth-first search, ``_tabulate``, that
 serves full matchings (2n points) and partial matchings (n points).  It
@@ -30,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .diagrams import ChordDiagram, PartialDiagram
+from .diagrams import ChordDiagram, PartialDiagram, _genus_of
 
 DEFAULT_FULL_CAP = 9
 DEFAULT_PARTIAL_CAP = 14
@@ -59,19 +61,19 @@ def double_factorial_odd(n: int) -> int:
 class GenusTable:
     """Counts of diagrams keyed by genus (and friends).
 
-    Keys of ``entries`` are (g, n) or, when ``with_onechords`` is set,
-    (g, n, m).  The table covers n <= n_max and, when ``g_max`` is set, only
-    g <= g_max (an enumeration sees every genus; a recursion table does not).
-    Inside that range a missing key means a count of zero; a query outside
-    it raises ``IndexError`` rather than answer a count nobody computed.
+    ``class_tag`` names the diagrams counted ("full", "shape" or
+    "macromolecular").  Keys of ``entries`` are (g, n) or, when
+    ``with_onechords`` is set, (g, n, m) with m the 1-chord number.  The
+    table covers n <= n_max and, when ``g_max`` is set, only g <= g_max (an
+    enumeration sees every genus; a recursion table does not).  Inside that
+    range a missing key means a count of zero; a query outside it raises
+    ``IndexError`` rather than answer a count nobody computed.
     """
 
-    class_tag: str  # "full" | "shape" | "macromolecular"
+    class_tag: str
     n_max: int
     entries: dict[tuple[int, ...], int]
     with_onechords: bool = False
-    sigma: int | None = None
-    source: str = "enumeration"
     g_max: int | None = None
 
     def count(self, g: int, n: int, m: int | None = None) -> int:
@@ -95,48 +97,13 @@ class GenusTable:
     def total(self, n: int) -> int:
         return sum(v for k, v in self.entries.items() if k[1] == n)
 
-    def genus_marginal(self) -> "GenusTable":
-        """Collapse the 1-chord index, keeping (g, n) counts."""
-        if not self.with_onechords:
-            return self
-        out: dict[tuple[int, ...], int] = {}
-        for (g, n, _m), v in self.entries.items():
-            key = (g, n)
-            out[key] = out.get(key, 0) + v
-        return GenusTable(
-            self.class_tag, self.n_max, out, False, self.sigma, self.source, self.g_max
-        )
-
-    def merge(self, other: "GenusTable") -> "GenusTable":
-        if (self.class_tag, self.with_onechords, self.sigma, self.g_max) != (
-            other.class_tag,
-            other.with_onechords,
-            other.sigma,
-            other.g_max,
-        ):
-            raise ValueError("cannot merge tables of different classes or genus ranges")
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            out[k] = out.get(k, 0) + v
-        return GenusTable(
-            self.class_tag,
-            max(self.n_max, other.n_max),
-            out,
-            self.with_onechords,
-            self.sigma,
-            self.source,
-            self.g_max,
-        )
-
 
 # ---------------------------------------------------------------------------
 # the stream generator; it yields a shared mutable partner list for speed
 # ---------------------------------------------------------------------------
 
 
-def _matchings(
-    length: int, partial: bool, first_partner: int | None = None
-) -> Iterator[list[int]]:
+def _matchings(length: int, partial: bool) -> Iterator[list[int]]:
     partner = [-1] * length
 
     def rec(i: int) -> Iterator[list[int]]:
@@ -155,12 +122,6 @@ def _matchings(
                 partner[j] = -1
         partner[i] = -1
 
-    if first_partner is not None and length:
-        if not 2 <= first_partner <= length:
-            raise ValueError(f"first_partner must lie in 2..{length}")
-        j = first_partner - 1
-        partner[0] = j
-        partner[j] = 0
     yield from rec(0)
 
 
@@ -311,20 +272,13 @@ def _tabulate(
     return counts
 
 
-def _genus(chords: int, cycles: int) -> int:
-    num = chords + 1 - cycles
-    if num % 2:
-        raise ArithmeticError(f"parity violation: {chords} chords, {cycles} cycles")
-    return num // 2
-
-
 def _full_entries(n_max: int, cap: int | None, shapes: bool) -> dict[tuple[int, ...], int]:
     # (g, n, m) -> count over full diagrams (shapes only, if asked)
     _resolve_cap(n_max, cap, DEFAULT_FULL_CAP, "full diagram")
     entries: dict[tuple[int, ...], int] = {}
     for n in range(n_max + 1):
         for (cycles, _k, m, _low), v in _tabulate(2 * n, shapes=shapes).items():
-            entries[(_genus(n, cycles), n, m)] = v
+            entries[(_genus_of(n, cycles), n, m)] = v
     return entries
 
 
@@ -333,24 +287,18 @@ def _full_entries(n_max: int, cap: int | None, shapes: bool) -> dict[tuple[int, 
 # ---------------------------------------------------------------------------
 
 
-def enumerate_chord_diagrams(
-    n: int, *, cap: int | None = None, first_partner: int | None = None
-) -> Iterator[ChordDiagram]:
-    """Every full diagram with n chords, each exactly once, in canonical order.
-
-    ``first_partner`` restricts the stream to diagrams pairing vertex 1 with
-    that vertex; the full stream is the disjoint union over 2..2n.
-    """
+def enumerate_chord_diagrams(n: int, *, cap: int | None = None) -> Iterator[ChordDiagram]:
+    """Every full diagram with n chords, each exactly once, in canonical order."""
     _resolve_cap(n, cap, DEFAULT_FULL_CAP, "full diagram")
-    for partner in _matchings(2 * n, False, first_partner):
-        yield ChordDiagram(tuple(partner))
+    for partner in _matchings(2 * n, False):
+        yield ChordDiagram._trusted(tuple(partner))
 
 
 def enumerate_partial_diagrams(n: int, *, cap: int | None = None) -> Iterator[PartialDiagram]:
     """Every partial diagram on n backbone vertices, each exactly once."""
     _resolve_cap(n, cap, DEFAULT_PARTIAL_CAP, "partial diagram")
     for partner in _matchings(n, True):
-        yield PartialDiagram(tuple(partner))
+        yield PartialDiagram._trusted(tuple(partner))
 
 
 # ---------------------------------------------------------------------------
@@ -397,11 +345,9 @@ def count_macromolecular_multi(
     for n in range(n_max + 1):
         tally = _tabulate(n, sigma_max=sig[-1])
         for (cycles, chords, _m, smallest), v in tally.items():
-            key = (_genus(chords, cycles), n)
+            key = (_genus_of(chords, cycles), n)
             for s in sig:
                 if smallest >= s:
                     t = tables[s]
                     t[key] = t.get(key, 0) + v
-    return {
-        s: GenusTable("macromolecular", n_max, tables[s], sigma=s) for s in sig
-    }
+    return {s: GenusTable("macromolecular", n_max, tables[s]) for s in sig}

@@ -9,7 +9,7 @@ where iota is the chord involution and tau is the cyclic successor on the
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 Pair = tuple[int, int]
 
@@ -33,11 +33,6 @@ def _cycle_count(partners: Sequence[int]) -> int:
             w = partners[v] + 1
             v = w if w < length else 0
     return cycles
-
-
-def _onechords(partners: Sequence[int]) -> int:
-    # chords joining neighbouring vertices
-    return sum(1 for v, p in enumerate(partners) if p == v + 1)
 
 
 def _is_shape_partner(partners: Sequence[int]) -> bool:
@@ -64,6 +59,8 @@ def _min_stack_size(partners: Sequence[int]) -> int | None:
 
 def _validate_partners(partners: Sequence[int], allow_unmatched: bool) -> None:
     length = len(partners)
+    if length % 2 and not allow_unmatched:
+        raise ValueError("a full chord diagram has an even number of vertices")
     for v, p in enumerate(partners):
         if p == _UNMATCHED:
             if allow_unmatched:
@@ -79,9 +76,28 @@ def _validate_partners(partners: Sequence[int], allow_unmatched: bool) -> None:
             )
 
 
-def _pairs_of(partners: Sequence[int]) -> list[Pair]:
-    # 1-indexed chords (i, j) with i < j, ascending in i
-    return [(v + 1, p + 1) for v, p in enumerate(partners) if p > v]
+def _partners_from_pairs(length: int, pairs: Iterable[Pair]) -> list[int]:
+    # 0-indexed partner array of 1-indexed chords on `length` vertices
+    partners = [_UNMATCHED] * length
+    for i, j in pairs:
+        for v in (i, j):
+            if not 1 <= v <= length:
+                raise ValueError(f"vertex {v} out of range 1..{length}")
+        if i == j:
+            raise ValueError(f"chord ({i}, {j}) pairs a vertex with itself")
+        if partners[i - 1] != _UNMATCHED or partners[j - 1] != _UNMATCHED:
+            raise ValueError(f"vertex reused by chord ({i}, {j})")
+        partners[i - 1] = j - 1
+        partners[j - 1] = i - 1
+    return partners
+
+
+def _genus_of(chords: int, cycles: int) -> int:
+    # n + 1 - 2g = #cycles
+    num = chords + 1 - cycles
+    if num % 2:
+        raise ArithmeticError(f"parity violation: {chords} chords, {cycles} cycles")
+    return num // 2
 
 
 def _stacks_of_pairs(pairs: Iterable[Pair]) -> list[list[Pair]]:
@@ -98,135 +114,35 @@ def _stacks_of_pairs(pairs: Iterable[Pair]) -> list[list[Pair]]:
     return out
 
 
-class ChordDiagram:
-    """A full linear chord diagram: n chords on 2n ordered vertices."""
+class _Diagram:
+    """An immutable partner array: partners[v] is v's partner, -1 if unmatched.
+
+    Equality, hashing and repr are keyed on the concrete type, so a full
+    diagram never equals the partial diagram with the same array.
+    """
 
     __slots__ = ("partners",)
 
     partners: tuple[int, ...]
+    _allow_unmatched = False
 
     def __init__(self, partners: Iterable[int]):
         p = tuple(partners)
-        if len(p) % 2:
-            raise ValueError("a full chord diagram has an even number of vertices")
-        _validate_partners(p, allow_unmatched=False)
+        _validate_partners(p, self._allow_unmatched)
         object.__setattr__(self, "partners", p)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ChordDiagram is immutable")
-
-    # -- constructors
-
     @classmethod
-    def empty(cls) -> "ChordDiagram":
-        return cls(())
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[Pair]) -> "ChordDiagram":
-        pairs = list(pairs)
-        partners = [_UNMATCHED] * (2 * len(pairs))
-        for i, j in pairs:
-            for v in (i, j):
-                if not 1 <= v <= len(partners):
-                    raise ValueError(f"vertex {v} out of range for {len(pairs)} chords")
-            if partners[i - 1] != _UNMATCHED or partners[j - 1] != _UNMATCHED:
-                raise ValueError(f"vertex reused by chord ({i}, {j})")
-            partners[i - 1] = j - 1
-            partners[j - 1] = i - 1
-        return cls(partners)
-
-    @classmethod
-    def from_text(cls, text: str) -> "ChordDiagram":
-        d = PartialDiagram.from_text(text)
-        if d.unmatched_count():
-            raise ValueError("text encodes a partial diagram, not a full one")
-        return cls(d.partners)
-
-    # -- queries
-
-    @property
-    def n(self) -> int:
-        """Number of chords."""
-        return len(self.partners) // 2
-
-    def pairs(self) -> list[Pair]:
-        return _pairs_of(self.partners)
-
-    def boundary_cycles(self) -> int:
-        return _cycle_count(self.partners)
-
-    def genus(self) -> int:
-        r = self.boundary_cycles()
-        num = self.n + 1 - r
-        if num % 2:
-            raise ArithmeticError(f"parity violation: n={self.n}, cycles={r}")
-        return num // 2
-
-    def one_chord_count(self) -> int:
-        return _onechords(self.partners)
-
-    def stacks(self) -> list[list[Pair]]:
-        return _stacks_of_pairs(self.pairs())
-
-    def is_shape(self) -> bool:
-        """True when every stack has a single chord."""
-        return _is_shape_partner(self.partners)
-
-    def to_partial(self) -> "PartialDiagram":
-        return PartialDiagram(self.partners)
-
-    def project_shape(self) -> "ChordDiagram":
-        return self.to_partial().project_shape()
-
-    def to_text(self) -> str:
-        return self.to_partial().to_text()
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ChordDiagram) and self.partners == other.partners
-
-    def __hash__(self) -> int:
-        return hash(("ChordDiagram", self.partners))
-
-    def __repr__(self) -> str:
-        return f"ChordDiagram.from_text({self.to_text()!r})"
-
-
-class PartialDiagram:
-    """A partial matching of n ordered vertices; unmatched vertices allowed."""
-
-    __slots__ = ("partners",)
-
-    partners: tuple[int, ...]
-
-    def __init__(self, partners: Iterable[int]):
-        p = tuple(partners)
-        _validate_partners(p, allow_unmatched=True)
-        object.__setattr__(self, "partners", p)
+    def _trusted(cls, partners: tuple[int, ...]):
+        # an array the enumerator built is valid by construction
+        d = object.__new__(cls)
+        object.__setattr__(d, "partners", partners)
+        return d
 
     def __setattr__(self, name, value):
-        raise AttributeError("PartialDiagram is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def empty(cls, n: int = 0) -> "PartialDiagram":
-        return cls((_UNMATCHED,) * n)
-
-    @classmethod
-    def from_pairs(cls, n: int, pairs: Iterable[Pair]) -> "PartialDiagram":
-        partners = [_UNMATCHED] * n
-        for i, j in pairs:
-            for v in (i, j):
-                if not 1 <= v <= n:
-                    raise ValueError(f"vertex {v} out of range 1..{n}")
-            if i == j:
-                raise ValueError(f"chord ({i}, {j}) pairs a vertex with itself")
-            if partners[i - 1] != _UNMATCHED or partners[j - 1] != _UNMATCHED:
-                raise ValueError(f"vertex reused by chord ({i}, {j})")
-            partners[i - 1] = j - 1
-            partners[j - 1] = i - 1
-        return cls(partners)
-
-    @classmethod
-    def from_text(cls, text: str) -> "PartialDiagram":
+    def from_text(cls, text: str):
         """Parse the canonical encoding 'n;p(1),p(2),...' with 0 for unmatched."""
         head, sep, body = text.partition(";")
         if not sep:
@@ -246,24 +162,91 @@ class PartialDiagram:
             values = [int(s) for s in entries]
         except ValueError:
             raise ValueError("partner entries must be integers") from None
-        partners = [v - 1 if v else _UNMATCHED for v in values]
-        return cls(partners)
+        return cls(v - 1 if v else _UNMATCHED for v in values)
 
-    # -- queries
+    def pairs(self) -> list[Pair]:
+        """1-indexed chords (i, j) with i < j, ascending in i."""
+        return [(v + 1, p + 1) for v, p in enumerate(self.partners) if p > v]
+
+    def one_chord_count(self) -> int:
+        """Chords joining neighbouring vertices."""
+        return sum(1 for v, p in enumerate(self.partners) if p == v + 1)
+
+    def stacks(self) -> list[list[Pair]]:
+        return _stacks_of_pairs(self.pairs())
+
+    def to_text(self) -> str:
+        body = ",".join(str(p + 1) for p in self.partners)  # -1 (unmatched) -> 0
+        return f"{len(self.partners)};{body}"
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.partners == other.partners
+
+    def __hash__(self) -> int:
+        return hash((type(self).__name__, self.partners))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}.from_text({self.to_text()!r})"
+
+
+class ChordDiagram(_Diagram):
+    """A full linear chord diagram: n chords on 2n ordered vertices."""
+
+    __slots__ = ()
+
+    @classmethod
+    def empty(cls) -> "ChordDiagram":
+        return cls(())
+
+    @classmethod
+    def from_pairs(cls, pairs: Iterable[Pair]) -> "ChordDiagram":
+        pairs = list(pairs)
+        return cls(_partners_from_pairs(2 * len(pairs), pairs))
+
+    @property
+    def n(self) -> int:
+        """Number of chords."""
+        return len(self.partners) // 2
+
+    def boundary_cycles(self) -> int:
+        return _cycle_count(self.partners)
+
+    def genus(self) -> int:
+        return _genus_of(self.n, self.boundary_cycles())
+
+    def is_shape(self) -> bool:
+        """True when every stack has a single chord."""
+        return _is_shape_partner(self.partners)
+
+    def to_partial(self) -> "PartialDiagram":
+        return PartialDiagram(self.partners)
+
+    def project_shape(self) -> "ChordDiagram":
+        return self.to_partial().project_shape()
+
+
+class PartialDiagram(_Diagram):
+    """A partial matching of n ordered vertices; unmatched vertices allowed."""
+
+    __slots__ = ()
+
+    _allow_unmatched = True
+
+    @classmethod
+    def empty(cls, n: int = 0) -> "PartialDiagram":
+        return cls((_UNMATCHED,) * n)
+
+    @classmethod
+    def from_pairs(cls, n: int, pairs: Iterable[Pair]) -> "PartialDiagram":
+        return cls(_partners_from_pairs(n, pairs))
 
     @property
     def n(self) -> int:
         """Number of backbone vertices."""
         return len(self.partners)
 
-    def chord_count(self) -> int:
-        return sum(1 for v, p in enumerate(self.partners) if p > v)
-
     def unmatched_count(self) -> int:
         return sum(1 for p in self.partners if p == _UNMATCHED)
-
-    def pairs(self) -> list[Pair]:
-        return _pairs_of(self.partners)
 
     def matched_subdiagram(self) -> ChordDiagram:
         """Delete unmatched vertices and renumber the rest."""
@@ -276,12 +259,6 @@ class PartialDiagram:
 
     def boundary_cycles(self) -> int:
         return self.matched_subdiagram().boundary_cycles()
-
-    def one_chord_count(self) -> int:
-        return _onechords(self.partners)
-
-    def stacks(self) -> list[list[Pair]]:
-        return _stacks_of_pairs(self.pairs())
 
     def min_stack_size(self) -> int | None:
         """Size of the smallest stack, None when there are no chords."""
@@ -312,16 +289,3 @@ class PartialDiagram:
             if all(len(s) == 1 for s in groups):
                 return ChordDiagram.from_pairs(sorted(pairs))
             pairs = [group[0] for group in groups]
-
-    def to_text(self) -> str:
-        body = ",".join(str(p + 1 if p != _UNMATCHED else 0) for p in self.partners)
-        return f"{self.n};{body}"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PartialDiagram) and self.partners == other.partners
-
-    def __hash__(self) -> int:
-        return hash(("PartialDiagram", self.partners))
-
-    def __repr__(self) -> str:
-        return f"PartialDiagram.from_text({self.to_text()!r})"

@@ -160,11 +160,6 @@ class GenusPolyRecord:
     q_prev: Poly | None = None
     partial_fractions: tuple[Fraction, ...] | None = None
 
-    def partial_fraction_items(self) -> list[tuple[int, Fraction]]:
-        if self.partial_fractions is None:
-            return []
-        return [(j + 2, a) for j, a in enumerate(self.partial_fractions)]
-
 
 def derived_numerators(p: Poly, g: int) -> tuple[Poly, Poly, Poly]:
     """The three derivative-ladder numerators over increasing powers of 1-4z."""
@@ -431,14 +426,8 @@ def fiber_series_macromolecular(s: int, m: int, sigma: int, order: int) -> Serie
 
 
 def _q_sigma(sigma: int) -> Poly:
+    # the stack kernel is u_sigma(z) = (z^2)^(sigma-1) / q_sigma(z)
     return Poly.monomial(2 * sigma) - Poly.monomial(2) + Poly.one()
-
-
-def stack_kernel(sigma: int) -> RationalFunction:
-    """u_sigma(z) = (z^2)^(sigma-1) / (z^(2 sigma) - z^2 + 1)."""
-    if sigma < 1:
-        raise ValueError("sigma must be >= 1")
-    return RationalFunction(Poly.monomial(2 * sigma - 2), _q_sigma(sigma))
 
 
 def _n1_sigma(sigma: int) -> Poly:

@@ -45,7 +45,7 @@ def diagram_count_table(g_max: int, n_max: int) -> GenusTable:
                         f"recursion produced a non-integer at g={g}, n={n}: {acc}/{n + 1}"
                     )
                 c[(g, n)] = acc // (n + 1)
-    return GenusTable("full", n_max, c, source="recursion", g_max=g_max)
+    return GenusTable("full", n_max, c, g_max=g_max)
 
 
 def diagram_count(g: int, n: int) -> int:

@@ -428,13 +428,6 @@ class Series:
             raise ValueError("derivative needs truncation order >= 1")
         return Series([i * self.coeffs[i] for i in range(1, self.order + 1)])
 
-    def integrate(self) -> "Series":
-        """Term-by-term antiderivative with zero constant term; order rises by 1."""
-        out = [_ZERO] * (self.order + 2)
-        for i, c in enumerate(self.coeffs):
-            out[i + 1] = c / (i + 1)
-        return Series(out)
-
     def reciprocal(self) -> "Series":
         return Series(_list_div([_ONE], self.coeffs, self.order))
 
@@ -777,9 +770,3 @@ class BiSeries:
         if j < 0 or j > self.order_y:
             raise IndexError("row index out of range")
         return Series([self.coeffs[i][j] for i in range(self.order_x + 1)])
-
-    def column_poly(self, i: int) -> Poly:
-        """The coefficient polynomial of x**i, as a polynomial in y."""
-        if i < 0 or i > self.order_x:
-            raise IndexError("column index out of range")
-        return Poly(self.coeffs[i])

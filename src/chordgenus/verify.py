@@ -396,7 +396,8 @@ def run_suite(
     # a suite's defaults are its keyword defaults; only given limits are passed
     n = {} if n_max is None else {"n_max": n_max}
     g = {} if g_max is None else {"g_max": g_max}
-    s = {"sigmas": sigmas} if sigmas else {}
+    # a repeated sigma is one check, not two; first-seen order is kept
+    s = {"sigmas": tuple(dict.fromkeys(sigmas))} if sigmas else {}
     # "all" holds the shape suite (two oracles and n x n bivariate series) to n <= 6
     n_shapes = {"n_max": min(n_max, 6)} if n and name == "all" else n
     suites = {

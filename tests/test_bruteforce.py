@@ -5,7 +5,6 @@ import pytest
 from chordgenus.bruteforce import (
     DEFAULT_FULL_CAP,
     DEFAULT_PARTIAL_CAP,
-    GenusTable,
     count_by_genus,
     count_by_genus_onechords,
     count_macromolecular,
@@ -15,6 +14,7 @@ from chordgenus.bruteforce import (
     enumerate_chord_diagrams,
     enumerate_partial_diagrams,
 )
+from chordgenus.diagrams import ChordDiagram, PartialDiagram, _validate_partners
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]
 
@@ -33,18 +33,6 @@ def test_partial_stream_counts_match_telephone_numbers():
     telephone = [1, 1, 2, 4, 10, 26, 76, 232]
     for n in range(8):
         assert sum(1 for _ in enumerate_partial_diagrams(n)) == telephone[n]
-
-
-def test_partition_by_first_partner():
-    n = 5
-    parts = [
-        sum(1 for _ in enumerate_chord_diagrams(n, first_partner=k))
-        for k in range(2, 2 * n + 1)
-    ]
-    assert sum(parts) == double_factorial_odd(n)
-    assert all(p == double_factorial_odd(n - 1) for p in parts)
-    with pytest.raises(ValueError):
-        next(enumerate_chord_diagrams(2, first_partner=1))
 
 
 def test_caps_guard_large_inputs():
@@ -78,7 +66,10 @@ def test_determinism():
 def test_joint_onechord_table_marginalizes():
     joint = count_by_genus_onechords(5)
     plain = count_by_genus(5)
-    assert joint.genus_marginal().entries == plain.entries
+    marginal = Counter()
+    for (g, n, _m), v in joint.entries.items():
+        marginal[(g, n)] += v
+    assert dict(marginal) == plain.entries
     # n=1: the only diagram is a single 1-chord
     assert joint.count(0, 1, 1) == 1
     assert joint.count(0, 1, 0) == 0
@@ -96,6 +87,8 @@ def test_shape_counts_are_a_subtable():
 
 
 def test_macromolecular_counts():
+    with pytest.raises(ValueError):
+        count_macromolecular(3, 0)
     by_sigma = count_macromolecular_multi(8, (1, 2, 3))
     assert by_sigma[1].count(1, 4) == 1  # the bare crossing
     assert by_sigma[2].count(1, 8) == 1  # the doubled crossing
@@ -110,35 +103,18 @@ def test_macromolecular_counts():
         assert v <= by_sigma[1].entries.get(key, 0)
 
 
-def test_merge_and_validation():
-    a = count_by_genus(3)
-    b = count_by_genus(2)
-    merged = a.merge(b)
-    assert merged.count(0, 2) == a.count(0, 2) + b.count(0, 2)
-    with pytest.raises(ValueError):
-        a.merge(count_shapes(2))
-    with pytest.raises(ValueError):
-        count_macromolecular(3, 0)
-
-
 def test_oracle_tables_cover_every_genus_but_only_their_chord_range():
     full = count_by_genus(4)
     assert full.count(5, 4) == 0  # the oracle saw every genus
     joint = count_by_genus_onechords(3)
     assert joint.count(7, 3, 0) == 0 and joint.count(7, 3) == 0
-    assert joint.genus_marginal().count(1, 3) == full.count(1, 3)
+    assert joint.count(1, 3) == full.count(1, 3)
     shapes, mm = count_shapes(2), count_macromolecular(4, 1)
     for table, key in (
         (full, (0, 5)), (joint, (0, 4, 0)), (joint, (0, 4)), (shapes, (0, 3, 1)), (mm, (0, 5))
     ):
         with pytest.raises(IndexError, match="outside this table"):
             table.count(*key)
-
-
-def test_merge_refuses_tables_of_different_genus_ranges():
-    bounded = GenusTable("full", 2, {(0, 0): 1}, g_max=1)
-    with pytest.raises(ValueError, match="genus ranges"):
-        count_by_genus(2).merge(bounded)
 
 
 def test_mm_single_sigma_matches_multi():
@@ -189,13 +165,16 @@ def test_macromolecular_tables_match_partial_stream_tallies():
         assert tables[s].entries == dict(tallies[s]), s
 
 
-def test_first_partner_partition_merges_to_the_full_table():
-    n_max = 5
-    merged = GenusTable("full", n_max, {(0, 0): 1})  # the empty diagram
-    for n in range(1, n_max + 1):
-        for k in range(2, 2 * n + 1):
-            part = Counter(
-                (d.genus(), n) for d in enumerate_chord_diagrams(n, first_partner=k)
-            )
-            merged = merged.merge(GenusTable("full", n, dict(part)))
-    assert merged == count_by_genus(n_max)
+def test_streamed_diagrams_pass_validation():
+    # the streams skip validation; every diagram they hand out must pass it,
+    # and keep its own array after the stream has moved on
+    for stream, cls, n_max, partial in (
+        (enumerate_chord_diagrams, ChordDiagram, 5, False),
+        (enumerate_partial_diagrams, PartialDiagram, 8, True),
+    ):
+        for n in range(n_max + 1):
+            diagrams = list(stream(n))
+            assert len(set(diagrams)) == len(diagrams)
+            for d in diagrams:
+                assert type(d) is cls and type(d.partners) is tuple
+                _validate_partners(d.partners, allow_unmatched=partial)

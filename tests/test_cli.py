@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -43,14 +44,7 @@ def off_by_one(table, key):
     """A copy of a counting table whose count at ``key`` is one too high."""
     entries = dict(table.entries)
     entries[key] = entries.get(key, 0) + 1
-    return bruteforce.GenusTable(
-        class_tag=table.class_tag,
-        n_max=table.n_max,
-        entries=entries,
-        with_onechords=table.with_onechords,
-        sigma=table.sigma,
-        source=table.source,
-    )
+    return dataclasses.replace(table, entries=entries)
 
 
 class TestTable:
@@ -468,6 +462,21 @@ class TestVerify:
         doc = run_json(capsys, "verify", "hz", "--format", "json")
         assert doc["payload"]["passed"] is True
         assert all(c["status"] in {"PASS", "INFO"} for c in doc["payload"]["checks"])
+
+    def test_repeated_sigma_is_checked_once(self, capsys):
+        def outputs(*sigmas):
+            argv = ["verify", "mm", "--n-max", "4"]
+            for sigma in sigmas:
+                argv += ["--sigma", sigma]
+            code, text, _ = run_cli(capsys, *argv)
+            assert code == EXIT_OK
+            doc = run_json(capsys, *argv, "--format", "json")
+            del doc["metadata"]["runtime_seconds"]
+            return text, doc
+
+        assert outputs("1", "1") == outputs("1")
+        assert outputs("2", "1", "2") == outputs("2", "1")
+        assert "2/2 checks passed" in outputs("1", "1")[0]
 
     def test_corrupted_table_fails_with_counterexample(self, capsys, monkeypatch):
         real = recurrences.diagram_count_table

@@ -205,3 +205,47 @@ def test_partner_scans_agree_with_stacks(partners):
         full = ChordDiagram(partners)
         assert full.is_shape() == all(len(s) == 1 for s in full.stacks())
         assert full.to_partial().min_stack_size() == d.min_stack_size()
+
+
+PINNED_NAMES = {ChordDiagram: "ChordDiagram", PartialDiagram: "PartialDiagram"}
+
+
+@settings(max_examples=100, deadline=None)
+@given(partner_arrays())
+def test_text_repr_and_hash_round_trip(partners):
+    p = tuple(partners)
+    diagrams = [PartialDiagram(p)]
+    if -1 not in p:
+        diagrams.append(ChordDiagram(p))
+        assert ChordDiagram(p) != PartialDiagram(p)
+    for d in diagrams:
+        cls = type(d)
+        assert cls.from_text(d.to_text()) == d
+        assert eval(repr(d)) == d
+        assert repr(d) == f"{PINNED_NAMES[cls]}.from_text({d.to_text()!r})"
+        assert hash(d) == hash((PINNED_NAMES[cls], p))
+
+
+TEXT_ALPHABET = "0123456789;,- x"
+
+
+@st.composite
+def diagram_texts(draw):
+    """Free text over the encoding's alphabet, or a canonical text with one
+    character replaced."""
+    if draw(st.booleans()):
+        return draw(st.text(alphabet=TEXT_ALPHABET, max_size=24))
+    text = PartialDiagram(draw(partner_arrays(max_vertices=8))).to_text()
+    at = draw(st.integers(0, len(text) - 1))
+    return text[:at] + draw(st.sampled_from(TEXT_ALPHABET)) + text[at + 1 :]
+
+
+@settings(max_examples=100, deadline=None)
+@given(diagram_texts())
+def test_malformed_text_raises_only_value_error(text):
+    for cls in (ChordDiagram, PartialDiagram):
+        try:
+            d = cls.from_text(text)
+        except ValueError:
+            continue
+        assert cls.from_text(d.to_text()) == d

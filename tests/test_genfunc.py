@@ -35,7 +35,6 @@ from chordgenus.genfunc import (
     reduced_genus_polynomial,
     shape_bivariate,
     shape_bivariate_inflated,
-    stack_kernel,
     _macromolecular_series_composed,
 )
 from chordgenus.recurrences import diagram_count_min_chords
@@ -118,9 +117,11 @@ class TestGenusPolynomials:
         for rec in genus_polynomial_records(5)[1:]:
             g_prev = rec.g - 1
             top = 3 * g_prev + 4
-            items = dict(rec.partial_fraction_items())
-            assert items[top] == rec.q_prev(Fraction(1, 4))
-            assert rec.poly(Fraction(1, 4)) == items[top] / (3 * g_prev + 3)
+            # partial_fractions holds A_2 .. A_top
+            a_top = rec.partial_fractions[top - 2]
+            assert len(rec.partial_fractions) == top - 1
+            assert a_top == rec.q_prev(Fraction(1, 4))
+            assert rec.poly(Fraction(1, 4)) == a_top / (3 * g_prev + 3)
 
     def test_q_polynomial_structure(self):
         for g in range(1, 5):
@@ -151,7 +152,7 @@ class TestGenusPolynomials:
         recs = genus_polynomial_records(3)
         assert [r.g for r in recs] == [1, 2, 3]
         assert recs[0].q_prev is None
-        assert recs[0].partial_fraction_items() == []
+        assert recs[0].partial_fractions is None
         assert len(recs[2].partial_fractions) == 3 * 2 + 3
 
 
@@ -274,10 +275,6 @@ class TestFibers:
 
 
 class TestMacromolecular:
-    def test_stack_kernel_sigma_one_is_trivial(self):
-        u1 = stack_kernel(1)
-        assert u1.num == Poly.one() and u1.den == Poly.one()
-
     def test_prefactor_sigma_one(self):
         pre = macromolecular_prefactor(1)
         assert pre.num == Poly.one()

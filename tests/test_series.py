@@ -224,14 +224,12 @@ def test_sqrt_requires_unit_constant_term():
         Series([4, 1, 1]).sqrt()
 
 
-def test_derivative_integrate_round_trip():
-    rng = random.Random(505)
-    for _ in range(15):
-        s = rand_series(rng)
-        back = s.integrate().derivative()
-        assert back == s
-        zero_const = Series([Fraction(0)] + list(rand_series(rng, 9).coeffs))
-        assert zero_const.derivative().integrate() == zero_const
+def test_series_derivative():
+    # d/dz 1/(1-z) = 1/(1-z)^2 = sum (i+1) z^i, one order lower
+    assert geometric_series(6).derivative() == Series(range(1, 7))
+    assert geometric_series(6).derivative() == geometric_series(5) * geometric_series(5)
+    with pytest.raises(ValueError):
+        Series([1]).derivative()
 
 
 def test_compose_identity_and_known_case():
@@ -353,4 +351,3 @@ def test_biseries_shifts_and_rows():
     assert up.coeff(3, 2) == 3
     assert s.shift_y(1).coeff(1, 3) == 3
     assert s.row_series(2).coeffs == (0, 3, 0, 0)
-    assert s.column_poly(1).coeffs == (0, 0, 3)
