@@ -298,7 +298,7 @@ def empirical_growth_ratio(coeffs, n: int) -> Fraction:
     while k >= 1 and (coeffs[k] == 0 or coeffs[k - 1] == 0):
         k -= 1
     if k < 1:
-        raise ValueError("no adjacent nonzero pair at or below the requested index")
+        raise ValueError(f"no adjacent nonzero pair at or below index {n}")
     return Fraction(coeffs[k], coeffs[k - 1])
 
 

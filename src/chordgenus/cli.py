@@ -29,10 +29,13 @@ DEFAULT_ORDER_CAP = 1000
 # host (P_22 0.8 s, P_40 5 s, P_50 9 s), and the heaviest admitted request,
 # ``table mm --n-max 1000 --g-max 30 --source formula``, about 4 s.
 MAX_PIPELINE_GENUS = 30
-# Largest n-max of ``table cg-m|shapes --source formula``.  Those tables
-# expand an n x n bivariate series over Fractions per genus, which costs
-# about n^5: n = 20 takes 3-4 s on a 2-core host, n = 24 9 s, n = 40 2 min.
-MAX_BIVARIATE_N = 20
+# Largest n-max of ``table cg-m|shapes --source formula``.  Per genus, cg-m
+# costs O(n^2) integer steps (the y = 0 column and the PDE) and shapes adds
+# an O(n^3) binomial transform; with n // 2 + 1 genera and (n+1)^2 rows
+# each, shapes is the slower class: about 0.4 s at n = 60, 1.3 s at 80,
+# 1.5-2.0 s at 90 and 2.8 s at 100 on a 2-core host (cg-m 0.2, 0.5, 0.7
+# and 0.8-1.1 s).
+MAX_BIVARIATE_N = 90
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -102,9 +105,11 @@ ROW_BATCH = 4096
 def _table_rows(args) -> tuple[tuple[str, ...], Iterator[tuple]]:
     """The table's fieldnames and its rows as tuples of raw ints and Fractions.
 
-    Each (class, source) pair reduces to one ``count(g, n[, m])``; every
-    table or series it reads is built here, before the first row is asked
-    for, so a failing computation never leaves half a payload behind.
+    An oracle table or a macromolecular series is read through one
+    ``count(g, n[, m])``; the recursion and bivariate formula tables are
+    dense int rows per genus, iterated as they stand.  Everything is built
+    here, before the first row is asked for, so a failing computation never
+    leaves half a payload behind.
     """
     n_max = args.n_max
     g_max = args.g_max if args.g_max is not None else n_max // 2
@@ -115,24 +120,27 @@ def _table_rows(args) -> tuple[tuple[str, ...], Iterator[tuple]]:
     if cls == "cg":
         if oracle:
             count = bruteforce.count_by_genus(n_max).count
-        else:
-            count = recurrences.diagram_count_table(g_max, n_max).count
-        return ("g", "n", "count"), ((g, n, count(g, n)) for g in genera for n in ns)
+            return ("g", "n", "count"), ((g, n, count(g, n)) for g in genera for n in ns)
+        rows = recurrences.diagram_count_rows(g_max, n_max)
+        return ("g", "n", "count"), (
+            (g, n, v) for g, row in enumerate(rows) for n, v in enumerate(row)
+        )
     if cls in ("cg-m", "shapes"):
         if oracle:
             if cls == "cg-m":
                 count = bruteforce.count_by_genus_onechords(n_max).count
             else:
                 count = bruteforce.count_shapes(n_max).count
-        else:
-            expand = genfunc.diagram_bivariate if cls == "cg-m" else genfunc.shape_bivariate
-            bivariates = {g: expand(g, n_max, n_max) for g in genera}
-
-            def count(g, n, m):
-                return bivariates[g].coeff(n, m)
-
+            return ("g", "n", "m", "count"), (
+                (g, n, m, count(g, n, m)) for g in genera for n in ns for m in ns
+            )
+        expand = genfunc.diagram_bivariate_rows if cls == "cg-m" else genfunc.shape_bivariate_rows
+        grids = [expand(g, n_max, n_max) for g in genera]
         return ("g", "n", "m", "count"), (
-            (g, n, m, count(g, n, m)) for g in genera for n in ns for m in ns
+            (g, n, m, v)
+            for g, grid in enumerate(grids)
+            for n, row in enumerate(grid)
+            for m, v in enumerate(row)
         )
     if args.sigma is None:
         raise ValueError("table mm requires --sigma")
@@ -325,8 +333,17 @@ def cmd_asymptotics(args, stream) -> int:
         if args.g is None:
             raise ValueError("asymptotics growth requires --g")
         n = args.n_max
+        if args.g < 0:
+            raise ValueError(f"g must be >= 0, got {args.g}")
+        if n < 1:
+            raise ValueError(f"n-max must be >= 1: the growth ratio needs terms n-1 and n, got {n}")
         _check_order_cap(n, "n-max")
         if args.sigma is None:
+            if n < 2 * args.g + 1:
+                raise ValueError(
+                    f"n-max must be >= {2 * args.g + 1} for g = {args.g}: "
+                    f"c_g(n) vanishes below n = 2g, so the first ratio is at 2g + 1"
+                )
             ratio = asymptotics.diagram_growth_ratio(args.g, n)
             reference = "4"
         else:

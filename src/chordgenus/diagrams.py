@@ -141,6 +141,10 @@ class _Diagram:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, never through setattr
+        return (type(self), (self.partners,))
+
     @classmethod
     def from_text(cls, text: str):
         """Parse the canonical encoding 'n;p(1),p(2),...' with 0 for unmatched."""

@@ -13,6 +13,27 @@ powers of (1-4z), and a Laurent-coefficient integration.  Bivariate
 refinements by 1-chord number, shape generating functions, and the
 macromolecular (minimum stack size sigma) series live here too.
 
+The univariate counts come from the recursion as one dense int row per
+genus (``recurrences.diagram_count_rows``).  The bivariate refinement
+C_g(x, y), with y marking 1-chords, is built from that row in integers, not
+by composing series:
+
+- the y = 0 column is C_g(x, 0) = C_g(x/(1+x)^2) / (1+x), so
+  c[i][0] = sum_k (-1)^(i-k) binom(i+k, 2k) c_g(k), O(n^2) per genus;
+- every further column follows from the PDE
+  (1 - x + xy) dC/dy = 2x^2 dC/dx + xC, which reads
+  (j+1) c[i][j+1] = (j+1) c[i-1][j+1] + (2i-1-j) c[i-1][j]
+  with each division checked exact, O(n^2) per genus;
+- the shape series is the inverse stack inflation S_g(z, u) = C_g(z/(1+z), u),
+  the binomial transform s[i][j] = sum_k (-1)^(i-k) binom(i-1, k-1) c[k][j],
+  taken as an iterated difference table, O(n^3) additions per genus.
+
+A series built from the PDE satisfies the PDE by construction, so the
+compositions the paper writes, 1/(x+1-yx) C_g(x/(x+1-yx)^2) and its shape
+analogue, are kept as the witnesses ``_diagram_bivariate_composed`` and
+``_shape_bivariate_composed`` (about n^5 over Fractions).  The PDE residual
+is taken on the composed witness, and the tests compare both routes.
+
 The macromolecular series D_{g,sigma} = pre_sigma C_g(theta_sigma) is
 expanded from the closed form: an integer polynomial times a rational power
 of an integer polynomial, raised by ``series.rational_power`` in
@@ -27,9 +48,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 from .bruteforce import GenusTable
-from .recurrences import diagram_count_min_chords, diagram_count_table
+from .recurrences import diagram_count_min_chords, diagram_count_rows
 from .series import BiSeries, Poly, Series, _list_mul, geometric_series, rational_power
 
 _W = Poly([1, -4])  # 1 - 4z
@@ -84,8 +106,9 @@ def _int_coeffs(p: Poly) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _genus_row(g: int, n_max: int) -> tuple[int, ...]:
-    tbl = diagram_count_table(g, n_max)
-    return tuple(tbl.count(g, n) for n in range(n_max + 1))
+    if 2 * g > n_max:
+        return (0,) * (n_max + 1)  # c_g(n) = 0 below n = 2g
+    return tuple(diagram_count_rows(g, n_max)[g])
 
 
 def genus_series(g: int, order: int) -> Series:
@@ -321,8 +344,90 @@ def ode_residual(g: int, order: int) -> Series:
 # ---------------------------------------------------------------------------
 
 
+def _refined_rows(counts: Sequence[int], order_y: int) -> list[list[int]]:
+    """c[i][j], diagrams with i chords and j 1-chords, from the counts c_g(i).
+
+    The y = 0 column is the binomial sum over ``counts``; column j+1 comes
+    from column j by the PDE step, every division checked exact.
+    """
+    grid = [[0] * (order_y + 1) for _ in counts]
+    for i, row in enumerate(grid):
+        acc = 0
+        for k in range(i + 1):
+            if counts[k]:
+                term = math.comb(i + k, 2 * k) * counts[k]
+                acc += -term if (i - k) & 1 else term
+        row[0] = acc
+    for j in range(order_y):
+        for i in range(1, len(grid)):
+            step, rem = divmod((2 * i - 1 - j) * grid[i - 1][j], j + 1)
+            if rem:
+                raise ArithmeticError(
+                    f"PDE step produced a non-integer at x^{i} y^{j + 1}: "
+                    f"{Fraction((2 * i - 1 - j) * grid[i - 1][j], j + 1)}"
+                )
+            grid[i][j + 1] = grid[i - 1][j + 1] + step
+    return grid
+
+
+def _deflated_rows(grid: list[list[int]]) -> list[list[int]]:
+    """The rows of S(z, u) = C(z/(1+z), u), the inverse stack inflation.
+
+    Row i >= 1 is the (i-1)-th forward difference of rows 1, 2, ... of C at
+    its first entry, sum_k (-1)^(i-k) binom(i-1, k-1) c[k], built from a
+    difference table in O(n^2) row subtractions.
+    """
+    out = [list(grid[0])]
+    diff = grid[1:]
+    while diff:
+        out.append(list(diff[0]))
+        diff = [[b - a for a, b in zip(lo, hi)] for lo, hi in zip(diff, diff[1:])]
+    return out
+
+
+def _check_orders(g: int, order_x: int, order_y: int) -> None:
+    if g < 0:
+        raise ValueError("g must be >= 0")
+    if order_x < 0 or order_y < 0:
+        raise ValueError("orders must be >= 0")
+
+
+def diagram_bivariate_rows(g: int, order_x: int, order_y: int) -> list[list[int]]:
+    """The coefficients of C_g(x, y) as int rows, ``rows[i][j]`` at x^i y^j."""
+    _check_orders(g, order_x, order_y)
+    return _refined_rows(_genus_row(g, order_x), order_y)
+
+
+def shape_bivariate_rows(g: int, order_z: int, order_u: int) -> list[list[int]]:
+    """The coefficients of S_g(z, u) as int rows, ``rows[i][j]`` at z^i u^j."""
+    _check_orders(g, order_z, order_u)
+    grid = _refined_rows(_genus_row(g, order_z), order_u)
+    # below n = 2g the grid is zero, and a zero grid deflates to itself
+    return _deflated_rows(grid) if 2 * g <= order_z else grid
+
+
 def diagram_bivariate(g: int, order_x: int, order_y: int) -> BiSeries:
-    """C_g(x, y) = 1/(x+1-yx) C_g(x/(x+1-yx)^2); y marks 1-chords."""
+    """C_g(x, y) = 1/(x+1-yx) C_g(x/(x+1-yx)^2); y marks 1-chords.
+
+    Built from the y = 0 column and the PDE; see the module docstring.
+    """
+    return BiSeries(diagram_bivariate_rows(g, order_x, order_y))
+
+
+def shape_bivariate(g: int, order_z: int, order_u: int) -> BiSeries:
+    """S_g(z, u) = (1+z)/(1+2z-zu) C_g(z(1+z)/(1+2z-zu)^2); u marks 1-chords.
+
+    Built as C_g(z/(1+z), u) from the integer rows of C_g(x, y).
+    """
+    return BiSeries(shape_bivariate_rows(g, order_z, order_u))
+
+
+def _diagram_bivariate_composed(g: int, order_x: int, order_y: int) -> BiSeries:
+    """C_g(x, y) composed as the formula writes it, over Fractions.
+
+    The witness for ``diagram_bivariate`` and the series the PDE residual is
+    taken on.
+    """
     if g < 0:
         raise ValueError("g must be >= 0")
     den = BiSeries.from_terms({(0, 0): 1, (1, 0): 1, (1, 1): -1}, order_x, order_y)
@@ -332,8 +437,8 @@ def diagram_bivariate(g: int, order_x: int, order_y: int) -> BiSeries:
     return inner.compose_outer(outer) * inv
 
 
-def shape_bivariate(g: int, order_z: int, order_u: int) -> BiSeries:
-    """S_g(z, u) = (1+z)/(1+2z-zu) C_g(z(1+z)/(1+2z-zu)^2); u marks 1-chords."""
+def _shape_bivariate_composed(g: int, order_z: int, order_u: int) -> BiSeries:
+    """S_g(z, u) composed as the formula writes it; the witness for ``shape_bivariate``."""
     if g < 0:
         raise ValueError("g must be >= 0")
     den = BiSeries.from_terms({(0, 0): 1, (1, 0): 2, (1, 1): -1}, order_z, order_u)
@@ -357,8 +462,12 @@ def shape_bivariate_inflated(g: int, order_x: int, order_y: int) -> BiSeries:
 
 
 def bivariate_pde_residual(g: int, order_x: int, order_y: int) -> BiSeries:
-    """Residual of dC/dy = x dC/dy + 2x^2 dC/dx + xC - xy dC/dy on C_g(x,y)."""
-    c = diagram_bivariate(g, order_x + 2, order_y + 1)
+    """Residual of dC/dy = x dC/dy + 2x^2 dC/dx + xC - xy dC/dy on C_g(x,y).
+
+    Taken on the composed witness: ``diagram_bivariate`` is built from this
+    PDE and satisfies it by construction.
+    """
+    c = _diagram_bivariate_composed(g, order_x + 2, order_y + 1)
     dy = c.dy()
     dx = c.dx()
     res = (

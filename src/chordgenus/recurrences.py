@@ -6,7 +6,12 @@ from the three-term recursion
     (n+1) c_g(n) = 2(2n-1) c_g(n-1) + (2n-1)(n-1)(2n-3) c_{g-1}(n-2)
 
 whose g=0 row reproduces the Catalan numbers.  The division by n+1 must be
-exact at every step, and that exactness is asserted.  The module also carries
+exact at every step, and that exactness is asserted.  ``diagram_count_rows``
+is the one kernel: it keeps the table as one dense int list per genus and
+fills c_g(n) only where 2g <= n, in O(g_max * n_max) integer steps with no
+tuple keys or dict probes.  ``diagram_count_table`` wraps those rows into a
+``GenusTable``, ``diagram_count`` reads one cell, and the generating-function
+layer reads whole rows.  The module also carries
 the boundary-component polynomials p(n, x) with
 
     1 + 2 sum_{n>=0} p(n, x) z^{n+1} = ((1+z)/(1-z))^x ,
@@ -25,34 +30,43 @@ from .bruteforce import GenusTable, double_factorial_odd
 from .series import BiSeries, Poly, Series, exp_series
 
 
-def diagram_count_table(g_max: int, n_max: int) -> GenusTable:
-    """c_g(n) for g <= g_max, n <= n_max, zeros stored explicitly."""
+def diagram_count_rows(g_max: int, n_max: int) -> list[list[int]]:
+    """c_g(n) as one int list per genus: ``rows[g][n]`` for g <= g_max, n <= n_max.
+
+    The rows are pre-filled with zeros, and only g <= min(g_max, n // 2) is
+    computed; row g needs nothing but rows g and g-1.
+    """
     if g_max < 0 or n_max < 0:
         raise ValueError("g_max and n_max must be >= 0")
-    c: dict[tuple[int, int], int] = {}
-    for n in range(n_max + 1):
-        for g in range(g_max + 1):
-            if 2 * g > n:
-                c[(g, n)] = 0
-            elif n == 0:
-                c[(g, n)] = 1
-            else:
-                acc = 2 * (2 * n - 1) * c.get((g, n - 1), 0)
-                if g >= 1 and n >= 2:
-                    acc += (2 * n - 1) * (n - 1) * (2 * n - 3) * c.get((g - 1, n - 2), 0)
-                if acc % (n + 1):
-                    raise ArithmeticError(
-                        f"recursion produced a non-integer at g={g}, n={n}: {acc}/{n + 1}"
-                    )
-                c[(g, n)] = acc // (n + 1)
-    return GenusTable("full", n_max, c, g_max=g_max)
+    rows = [[0] * (n_max + 1) for _ in range(g_max + 1)]
+    rows[0][0] = 1
+    for g in range(min(g_max, n_max // 2) + 1):
+        row, prev = rows[g], rows[g - 1] if g else None
+        for n in range(max(2 * g, 1), n_max + 1):
+            acc = 2 * (2 * n - 1) * row[n - 1]
+            if g:
+                acc += (2 * n - 1) * (n - 1) * (2 * n - 3) * prev[n - 2]
+            value, rem = divmod(acc, n + 1)
+            if rem:
+                raise ArithmeticError(
+                    f"recursion produced a non-integer at g={g}, n={n}: {acc}/{n + 1}"
+                )
+            row[n] = value
+    return rows
+
+
+def diagram_count_table(g_max: int, n_max: int) -> GenusTable:
+    """c_g(n) for g <= g_max, n <= n_max, zeros stored explicitly."""
+    rows = diagram_count_rows(g_max, n_max)
+    entries = {(g, n): v for g, row in enumerate(rows) for n, v in enumerate(row)}
+    return GenusTable("full", n_max, entries, g_max=g_max)
 
 
 def diagram_count(g: int, n: int) -> int:
     """c_g(n) through the recursion."""
     if g < 0 or n < 0:
         raise ValueError("g and n must be >= 0")
-    return diagram_count_table(g, n).count(g, n)
+    return diagram_count_rows(g, n)[g][n]
 
 
 def diagram_count_closed_form(g: int, n: int) -> int:

@@ -45,6 +45,9 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    def __reduce__(self):
+        return (type(self), (self.coeffs,))
+
     # -- constructors
 
     @classmethod
@@ -306,6 +309,9 @@ class Series:
 
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
+
+    def __reduce__(self):
+        return (type(self), (self.coeffs,))
 
     @classmethod
     def zero(cls, order: int) -> "Series":
@@ -584,6 +590,9 @@ class BiSeries:
 
     def __setattr__(self, name, value):
         raise AttributeError("BiSeries is immutable")
+
+    def __reduce__(self):
+        return (type(self), (self.coeffs,))
 
     @classmethod
     def zero(cls, order_x: int, order_y: int) -> "BiSeries":

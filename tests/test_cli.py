@@ -247,6 +247,32 @@ class TestTableLimits:
         assert code == EXIT_OK and "[FAIL]" not in out
 
 
+class TestFormulaTablesReadDenseRows:
+    """The formula tables iterate int rows: no per-cell lookup, no composition."""
+
+    def test_cg_makes_no_per_cell_count_call(self, capsys, monkeypatch):
+        argv = ("table", "cg", "--n-max", "12", "--g-max", "8", "--format", "csv")
+        expected = run_cli(capsys, *argv)
+
+        def refuse(*args):
+            raise AssertionError("GenusTable.count on the formula path")
+
+        monkeypatch.setattr(bruteforce.GenusTable, "count", refuse)
+        assert run_cli(capsys, *argv) == expected
+        assert expected[1].count("\n") == 9 * 13 + 1
+
+    @pytest.mark.parametrize("table_class", ["cg-m", "shapes"])
+    def test_bivariate_tables_compose_nothing(self, capsys, monkeypatch, table_class):
+        oracle = run_json(capsys, "table", table_class, "--n-max", "6", "--source", "oracle")
+
+        def refuse(*args):
+            raise AssertionError("BiSeries.compose_outer on the formula path")
+
+        monkeypatch.setattr(BiSeries, "compose_outer", refuse)
+        formula = run_json(capsys, "table", table_class, "--n-max", "6")
+        assert formula["payload"] == oracle["payload"]
+
+
 def _maybe(values):
     return st.one_of(st.none(), st.sampled_from(values))
 
@@ -313,6 +339,49 @@ def test_verify_argv_fuzz_exits_cleanly(suite, fmt, n_max, g_max, sigmas):
         assert json.loads(out.getvalue())["payload"]["passed"] is (code == EXIT_OK)
     else:
         assert out.getvalue().splitlines()[-1].endswith("informational)")
+
+
+# the flags each fuzzed command takes; "size" is its order or n-max flag
+_FUZZ_FLAGS = {
+    "poly": ("--g", None, "--n"),
+    "series": ("--g", "--sigma", "--order"),
+    "asymptotics": ("--g", "--sigma", "--n-max"),
+}
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    command=st.sampled_from(
+        ["poly pg", "poly rg", "poly qg", "poly hz", "series cg", "series dg"]
+        + ["asymptotics constant", "asymptotics singularity", "asymptotics growth"]
+    ),
+    g=_maybe(range(-1, 9)),
+    sigma=_maybe(range(-1, 5)),
+    size=_maybe(range(-1, 41)),
+)
+def test_poly_series_asymptotics_argv_fuzz_exits_cleanly(command, g, sigma, size):
+    argv = command.split()
+    for flag, value in zip(_FUZZ_FLAGS[argv[0]], (g, sigma, size)):
+        if flag is not None and value is not None:
+            argv += [flag, str(value)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: a required flag is missing
+            code = exc.code
+    assert code in (EXIT_OK, EXIT_MISMATCH, EXIT_USAGE)
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_OK:
+        doc = json.loads(out.getvalue())
+        assert doc["metadata"]["command"] == argv[0] and doc["payload"]
+    elif code == EXIT_USAGE:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith(("error:", "usage:"))
 
 
 class TestPoly:
@@ -436,6 +505,36 @@ class TestAsymptotics:
         assert doc["payload"]["reference"] == "4"
         assert abs(float(doc["payload"]["decimal"]) - 4) < 0.1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--g", "-1"), "error: g must be >= 0, got -1\n"),
+            (("--g", "-1", "--sigma", "2"), "error: g must be >= 0, got -1\n"),
+            (
+                ("--g", "1", "--n-max", "-3"),
+                "error: n-max must be >= 1: the growth ratio needs terms n-1 and n, got -3\n",
+            ),
+            (
+                ("--g", "1", "--n-max", "2"),
+                "error: n-max must be >= 3 for g = 1: c_g(n) vanishes below n = 2g, "
+                "so the first ratio is at 2g + 1\n",
+            ),
+            (
+                ("--g", "1", "--sigma", "2", "--n-max", "2"),
+                "error: no adjacent nonzero pair at or below index 2\n",
+            ),
+        ],
+    )
+    def test_growth_usage_errors_name_the_bad_flag(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "asymptotics", "growth", *argv)
+        assert (code, out, err) == (EXIT_USAGE, "", message)
+
+    def test_growth_at_the_first_ratio(self, capsys):
+        doc = run_json(capsys, "asymptotics", "growth", "--g", "0", "--n-max", "1")
+        assert doc["payload"]["ratio"] == "1"
+        doc = run_json(capsys, "asymptotics", "growth", "--g", "2", "--n-max", "5")
+        assert doc["payload"]["ratio"] == "23"  # c_2(5) / c_2(4) = 483 / 21
+
 
 class TestVerify:
     def test_oracle_suite_passes(self, capsys):
@@ -540,6 +639,24 @@ class TestVerify:
             " -- all coefficients equal\n"
             "[FAIL] shapes: stack inflation carries shapes onto diagrams"
             " -- first counterexample g=1\n"
+        ) in out
+
+    def test_corrupted_integer_rows_fail_the_inflation_witness(self, capsys, monkeypatch):
+        # shapes and refined diagrams share these rows, so only the composed
+        # witness on the other side of the inflation row can catch them
+        real = genfunc._refined_rows
+
+        def corrupted(counts, order_y):
+            grid = real(counts, order_y)
+            grid[3][1] += 1
+            return grid
+
+        monkeypatch.setattr(genfunc, "_refined_rows", corrupted)
+        code, out, _ = run_cli(capsys, "verify", "shapes")
+        assert code == EXIT_MISMATCH
+        assert (
+            "[FAIL] shapes: stack inflation carries shapes onto diagrams"
+            " -- first counterexample g=0\n"
         ) in out
 
     def test_corrupted_genus_zero_oracle_is_reported_not_failed(self, capsys, monkeypatch):

@@ -35,7 +35,9 @@ from chordgenus.genfunc import (
     reduced_genus_polynomial,
     shape_bivariate,
     shape_bivariate_inflated,
+    _diagram_bivariate_composed,
     _macromolecular_series_composed,
+    _shape_bivariate_composed,
 )
 from chordgenus.recurrences import diagram_count_min_chords
 from chordgenus.series import BiSeries, Poly, Series, geometric_series
@@ -211,6 +213,25 @@ class TestBivariate:
     def test_pde_residual_vanishes(self):
         for g in (0, 1, 2):
             assert bivariate_pde_residual(g, 7, 7).is_zero()
+
+    @pytest.mark.parametrize("orders", [(12, 12), (12, 7), (7, 12), (4, 4), (0, 0), (0, 3), (3, 0)])
+    def test_integer_routes_equal_their_composed_witnesses(self, orders):
+        for g in range(4):
+            assert diagram_bivariate(g, *orders) == _diagram_bivariate_composed(g, *orders)
+            assert shape_bivariate(g, *orders) == _shape_bivariate_composed(g, *orders)
+
+    def test_rows_are_ints_on_the_requested_rectangle(self):
+        for rows_of in (genfunc.diagram_bivariate_rows, genfunc.shape_bivariate_rows):
+            rows = rows_of(2, 9, 4)
+            assert len(rows) == 10 and all(len(row) == 5 for row in rows)
+            assert all(type(v) is int for row in rows for v in row)
+        assert genfunc.shape_bivariate_rows(5, 9, 9) == [[0] * 10 for _ in range(10)]
+
+    def test_bivariate_validation(self):
+        for build in (diagram_bivariate, shape_bivariate):
+            for args in ((-1, 4, 4), (1, -1, 4), (1, 4, -1)):
+                with pytest.raises(ValueError):
+                    build(*args)
 
 
 class TestFibers:

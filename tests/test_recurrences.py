@@ -10,6 +10,7 @@ from chordgenus.recurrences import (
     diagram_count,
     diagram_count_closed_form,
     diagram_count_min_chords,
+    diagram_count_rows,
     diagram_count_table,
     min_chords_egf,
     min_chords_egf_closed,
@@ -88,6 +89,35 @@ def test_min_chords_egf_identity():
 def test_diagram_count_single():
     assert diagram_count(1, 4) == 70
     assert diagram_count(0, 5) == 42
+
+
+def test_count_rows_are_the_table_cell_for_cell():
+    for g_max, n_max in ((0, 0), (3, 0), (0, 9), (2, 7), (6, 11), (9, 30)):
+        rows = diagram_count_rows(g_max, n_max)
+        assert len(rows) == g_max + 1
+        assert all(len(row) == n_max + 1 for row in rows)
+        table = diagram_count_table(g_max, n_max)
+        assert table.entries == {
+            (g, n): rows[g][n] for g in range(g_max + 1) for n in range(n_max + 1)
+        }
+        assert (table.class_tag, table.n_max, table.g_max) == ("full", n_max, g_max)
+
+
+def test_count_rows_match_closed_forms_and_sum_to_the_double_factorial():
+    rows = diagram_count_rows(30, 60)
+    for g in (1, 2, 3):
+        assert rows[g][: 2 * g] == [0] * (2 * g)
+        assert rows[g][2 * g :] == [diagram_count_closed_form(g, n) for n in range(2 * g, 61)]
+    for n in range(61):
+        assert sum(row[n] for row in rows) == double_factorial_odd(n)
+    assert all(type(v) is int for row in rows for v in row)
+
+
+def test_count_rows_validation():
+    with pytest.raises(ValueError):
+        diagram_count_rows(-1, 4)
+    with pytest.raises(ValueError):
+        diagram_count_rows(2, -1)
 
 
 # -- boundary-component polynomials

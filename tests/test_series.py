@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import comb, gcd
@@ -6,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chordgenus.diagrams import ChordDiagram, PartialDiagram
+from chordgenus.genfunc import genus_polynomial_records
 from chordgenus.series import (
     BiSeries,
     Poly,
@@ -135,6 +139,58 @@ def test_series_ring_axioms():
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
+
+
+small_fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(small_fractions, max_size=5), min_size=3, max_size=3))
+def test_poly_ring_laws(coeff_lists):
+    a, b, c = (Poly(cs) for cs in coeff_lists)
+    zero, one = Poly.zero(), Poly.one()
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a and a * zero == zero
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 5).flatmap(
+        lambda order: st.lists(
+            st.lists(small_fractions, min_size=order + 1, max_size=order + 1),
+            min_size=3,
+            max_size=3,
+        )
+    )
+)
+def test_series_ring_laws(coeff_lists):
+    a, b, c = (Series(cs) for cs in coeff_lists)
+    zero, one = Series.zero(a.order), Series.one(a.order)
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a and a * zero == zero
+
+
+def test_immutable_values_pickle_and_copy():
+    values = [
+        ChordDiagram.from_pairs([(1, 3), (2, 4)]),
+        PartialDiagram.from_text("3;3,0,1"),
+        Poly([1, Fraction(-2, 3)]),
+        Series([1, 2, Fraction(1, 2)]),
+        BiSeries([[1, 2], [Fraction(3, 4), 0]]),
+        genus_polynomial_records(3)[-1],
+    ]
+    for value in values:
+        for twin in (
+            pickle.loads(pickle.dumps(value)),
+            copy.copy(value),
+            copy.deepcopy(value),
+        ):
+            assert type(twin) is type(value)
+            assert twin == value and hash(twin) == hash(value)
 
 
 def test_series_coefficients_stay_reduced():
