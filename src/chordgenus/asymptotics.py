@@ -50,12 +50,6 @@ class RationalInterval:
     def within(self, other: "RationalInterval") -> bool:
         return other.lo <= self.lo and self.hi <= other.hi
 
-    def scale(self, c: Fraction) -> "RationalInterval":
-        c = Fraction(c)
-        if c < 0:
-            return RationalInterval(self.hi * c, self.lo * c)
-        return RationalInterval(self.lo * c, self.hi * c)
-
     def reciprocal(self) -> "RationalInterval":
         if self.lo <= 0:
             raise ZeroDivisionError("reciprocal needs a strictly positive interval")
@@ -64,25 +58,27 @@ class RationalInterval:
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def __float__(self) -> float:
-        return float(self.midpoint())
-
 
 def bracket_sqrt(x: Fraction, width: Fraction = DEFAULT_WIDTH) -> RationalInterval:
-    """Rational lo <= sqrt(x) <= hi with hi - lo <= width, by bisection."""
+    """Rational lo <= sqrt(x) <= hi with hi - lo <= width.
+
+    The bracket is the one bisection of [0, max(1, x)] would end on: with
+    top = max(1, x) and k the fewest halvings that take top to at most width,
+    lo = top*m/2^k for the largest m < 2^k with (top*m/2^k)^2 <= x.
+    """
     x = Fraction(x)
+    width = Fraction(width)
     if x < 0:
         raise ValueError("cannot bracket the square root of a negative number")
+    if width <= 0:
+        raise ValueError("bracket width must be positive")
     if x == 0:
         return RationalInterval(Fraction(0), Fraction(0))
-    lo, hi = Fraction(0), max(Fraction(1), x)
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        if mid * mid <= x:
-            lo = mid
-        else:
-            hi = mid
-    return RationalInterval(lo, hi)
+    top = max(Fraction(1), x)
+    halvings = top / width
+    k = (-(-halvings.numerator // halvings.denominator) - 1).bit_length()
+    m = min(math.isqrt(math.floor(x * 4 ** k / (top * top))), 2 ** k - 1)
+    return RationalInterval(top * m / 2 ** k, top * (m + 1) / 2 ** k)
 
 
 def sqrt_interval(iv: RationalInterval, width: Fraction = DEFAULT_WIDTH) -> RationalInterval:
@@ -218,48 +214,55 @@ def smallest_positive_root(
 ) -> RootIsolation:
     """Isolate the smallest positive root of p, certified by a Sturm chain.
 
-    A coarse grid scan finds a candidate bracket; the chain certifies that no
-    root hides below it and exactly one root lies inside; bisection then
-    narrows the bracket below ``width``.  A root hit exactly on a grid point
-    is returned with zero width.
+    With V(x) the sign variations of the chain at x, V(0) - V(x) counts the
+    distinct roots in (0, x].  A binary search on that count over the grid
+    points k/1024 <= search_to finds the first cell (lo, hi] that holds a
+    root.  The chain must certify exactly one root there, and unless it sits
+    on hi, p must change sign across the cell; otherwise ArithmeticError.
+    Bisection then narrows the bracket below ``width``.  A root hit exactly
+    on hi or on a bisection midpoint is returned with zero width.
     """
     if p.is_zero() or p.degree < 1:
         raise ValueError("need a nonconstant polynomial")
-    f0 = p(Fraction(0))
-    if f0 == 0:
+    if p(Fraction(0)) == 0:
         raise ValueError("polynomial vanishes at 0; divide out the power of z first")
-    if count_roots_in(p, Fraction(0), search_to) == 0:
-        raise ArithmeticError(f"no root in (0, {search_to}]")
+    chain = sturm_chain(p)
     step = Fraction(1, 1024)
-    prev, prev_sign = Fraction(0), (1 if f0 > 0 else -1)
-    x = step
-    while x <= search_to:
-        val = p(x)
-        if val == 0:
-            if count_roots_in(p, Fraction(0), prev) == 0:
-                return RootIsolation(p, x, x, exact=True)
-            raise ArithmeticError("a smaller root precedes the grid hit")
-        sign = 1 if val > 0 else -1
-        if sign != prev_sign:
-            lo, hi = prev, x
-            if count_roots_in(p, Fraction(0), lo) != 0:
-                raise ArithmeticError(f"a root lies below the bracket ({lo}, {hi}]")
-            if count_roots_in(p, lo, hi) != 1:
-                raise ArithmeticError(f"bracket ({lo}, {hi}] does not isolate one root")
-            flo = p(lo)
-            while hi - lo > width:
-                mid = (lo + hi) / 2
-                fmid = p(mid)
-                if fmid == 0:
-                    return RootIsolation(p, mid, mid, exact=True)
-                if (flo > 0) == (fmid > 0):
-                    lo, flo = mid, fmid
-                else:
-                    hi = mid
-            return RootIsolation(p, lo, hi)
-        prev, prev_sign = x, sign
-        x += step
-    raise ArithmeticError("grid scan found no sign change; widen the search")
+    v0 = _signs_at(chain, Fraction(0))
+    k_lo, k_hi = 0, math.floor(search_to / step)
+    v_hi = _signs_at(chain, k_hi * step)
+    if v_hi == v0:
+        raise ArithmeticError(f"no root in (0, {k_hi * step}]")
+    # no root in (0, k_lo*step], at least one in (k_lo*step, k_hi*step]
+    while k_hi - k_lo > 1:
+        k = (k_lo + k_hi) // 2
+        v = _signs_at(chain, k * step)
+        if v == v0:
+            k_lo = k
+        else:
+            k_hi, v_hi = k, v
+    lo, hi = k_lo * step, k_hi * step
+    if v0 - v_hi != 1:
+        raise ArithmeticError(f"bracket ({lo}, {hi}] does not isolate one root")
+    fhi = p(hi)
+    if fhi == 0:
+        return RootIsolation(p, hi, hi, exact=True)
+    flo = p(lo)
+    if (flo > 0) == (fhi > 0):
+        raise ArithmeticError(
+            f"bracket ({lo}, {hi}] does not isolate one root: its root has even "
+            "multiplicity, so p keeps its sign"
+        )
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        fmid = p(mid)
+        if fmid == 0:
+            return RootIsolation(p, mid, mid, exact=True)
+        if (flo > 0) == (fmid > 0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+    return RootIsolation(p, lo, hi)
 
 
 def singularity_polynomial(sigma: int) -> Poly:

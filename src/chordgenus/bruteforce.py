@@ -34,7 +34,7 @@ from typing import Iterable, Iterator
 
 from .diagrams import ChordDiagram, PartialDiagram, _genus_of
 
-DEFAULT_FULL_CAP = 9
+DEFAULT_FULL_CAP = 8
 DEFAULT_PARTIAL_CAP = 14
 
 

@@ -22,8 +22,9 @@ from typing import Iterator
 
 from . import __version__, asymptotics, bruteforce, genfunc, recurrences, verify
 
-ORDER_CAP_ENV = "CHORDGENUS_ORDER_CAP"
-DEFAULT_ORDER_CAP = 1000
+# Largest series order or formula n-max (``series --order``, ``table
+# --source formula --n-max``, ``asymptotics growth --n-max``).
+ORDER_CAP = 1000
 # Largest genus a request may push through the P_g pipeline.  The pipeline
 # cost grows about as g^3: building P_1..P_30 takes about 2 s on a 2-core
 # host (P_22 0.8 s, P_40 5 s, P_50 9 s), and the heaviest admitted request,
@@ -36,6 +37,25 @@ MAX_PIPELINE_GENUS = 30
 # 1.5-2.0 s at 90 and 2.8 s at 100 on a 2-core host (cg-m 0.2, 0.5, 0.7
 # and 0.8-1.1 s).
 MAX_BIVARIATE_N = 90
+# Largest number of rows a ``table`` request may print: genera x (n-max + 1),
+# times (n-max + 1) again for cg-m and shapes, with one genus for ``mm --g``.
+# Per row the cost depends on the class; on a 2-core host:
+#   cg formula   n-max 700: 246 k rows 3.5 s; 800: 321 k rows 5.3 s
+#                (the counts have up to 480 digits); zero rows past
+#                n-max // 2: 303 k rows 0.5 s
+#   cg-m, shapes n-max 90, every genus: 381 k rows 0.9 s, 2.2 s
+#   oracle       n-max 8: 450 k rows of cg 4.7 s, 405 k of shapes 3.6 s
+# so the bound admits cg up to n-max 773 (about 5 s), cg-m and shapes up to
+# n-max 83 over every genus, and no table of millions of zero rows.
+MAX_TABLE_ROWS = 300_000
+# Largest sigma whose singularity polynomial is isolated (``asymptotics
+# singularity|growth --sigma``).  The Sturm chain's cost grows about as
+# sigma^3.5: sigma 20 takes 0.8 s, 30 1.8 s, 40 3.9 s, 60 12 s.
+MAX_SIGMA = 40
+# Largest n of the boundary polynomials p(n, x) (``poly hz --n``, ``verify
+# hz --n-max``): n 60 takes 1.1 s, 80 2.6 s and 3.2 s with the exp/log
+# witness of verify, 100 4.6 s.
+MAX_HZ_N = 80
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -49,31 +69,15 @@ def _fmt(value) -> str:
     return str(int(value))
 
 
-def _order_cap() -> int:
-    raw = os.environ.get(ORDER_CAP_ENV)
-    if raw is None:
-        return DEFAULT_ORDER_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{ORDER_CAP_ENV} must be an integer, got {raw!r}")
-
-
-def _check_order_cap(value: int, flag: str) -> None:
-    """Refuse a series order or n-max above the cap before any work starts."""
-    cap = _order_cap()
-    if value > cap:
-        raise ValueError(
-            f"{flag} {value} exceeds the cap {cap}; set {ORDER_CAP_ENV} to override"
-        )
+def _check_limit(value: int, limit: int, flag: str, what: str = "limit") -> None:
+    """Refuse a parameter above its cost limit before any work starts."""
+    if value > limit:
+        raise ValueError(f"{flag} {value} exceeds the {what} {limit}")
 
 
 def _check_pipeline_genus(g: int, flag: str) -> None:
     """Refuse a genus the P_g pipeline would take too long to reach."""
-    if g > MAX_PIPELINE_GENUS:
-        raise ValueError(
-            f"{flag} {g} exceeds the P_g pipeline limit {MAX_PIPELINE_GENUS}"
-        )
+    _check_limit(g, MAX_PIPELINE_GENUS, flag, "P_g pipeline limit")
 
 
 def _document(command: str, parameters: dict, payload: dict, started: float) -> dict:
@@ -192,12 +196,11 @@ def cmd_table(args, stream) -> int:
     for flag, value in (("n-max", args.n_max), ("g-max", args.g_max), ("g", args.g)):
         if value is not None and value < 0:
             raise ValueError(f"{flag} must be >= 0")
-    if args.g_max is not None:
-        # every genus up to g-max gets its rows, for either source
-        _check_order_cap(args.g_max, "g-max")
+    g_max = args.g_max if args.g_max is not None else args.n_max // 2
+    bivariate = args.table_class in ("cg-m", "shapes")
     if args.source == "formula":
-        _check_order_cap(args.n_max, "n-max")
-        if args.table_class in ("cg-m", "shapes") and args.n_max > MAX_BIVARIATE_N:
+        _check_limit(args.n_max, ORDER_CAP, "n-max", "cap")
+        if bivariate and args.n_max > MAX_BIVARIATE_N:
             raise ValueError(
                 f"n-max {args.n_max} exceeds the limit {MAX_BIVARIATE_N} of the "
                 f"bivariate formula tables (cg-m, shapes)"
@@ -206,13 +209,20 @@ def cmd_table(args, stream) -> int:
             if args.g is not None:
                 _check_pipeline_genus(args.g, "g")
             else:
-                g_max = args.g_max if args.g_max is not None else args.n_max // 2
                 _check_pipeline_genus(g_max, "g-max")
+    # every genus up to g-max gets its rows, all zero past n-max // 2
+    genera = 1 if args.table_class == "mm" and args.g is not None else g_max + 1
+    n_rows = genera * (args.n_max + 1) * (args.n_max + 1 if bivariate else 1)
+    if n_rows > MAX_TABLE_ROWS:
+        raise ValueError(
+            f"the table would have {n_rows} rows, over the limit {MAX_TABLE_ROWS}; "
+            "lower --n-max or --g-max"
+        )
     fieldnames, rows = _table_rows(args)
     params = {
         "class": args.table_class,
         "n_max": args.n_max,
-        "g_max": args.g_max if args.g_max is not None else args.n_max // 2,
+        "g_max": g_max,
         "source": args.source,
     }
     if args.sigma is not None:
@@ -234,6 +244,7 @@ def cmd_poly(args, stream) -> int:
     if args.poly_kind == "hz":
         if args.n is None:
             raise ValueError("poly hz requires --n")
+        _check_limit(args.n, MAX_HZ_N, "n")
         poly = recurrences.boundary_polynomials(args.n).poly(args.n)
         params = {"kind": "hz", "n": args.n}
     else:
@@ -262,7 +273,7 @@ def cmd_poly(args, stream) -> int:
 
 def cmd_series(args, stream) -> int:
     started = time.perf_counter()
-    _check_order_cap(args.order, "order")
+    _check_limit(args.order, ORDER_CAP, "order", "cap")
     if args.order < 0:
         raise ValueError("order must be >= 0")
     if args.series_target == "cg":
@@ -312,6 +323,7 @@ def cmd_asymptotics(args, stream) -> int:
     elif args.asym_kind == "singularity":
         if args.sigma is None:
             raise ValueError("asymptotics singularity requires --sigma")
+        _check_limit(args.sigma, MAX_SIGMA, "sigma")
         iso = asymptotics.dominant_singularity(args.sigma)
         growth = iso.reciprocal_interval()
         payload = {
@@ -337,7 +349,7 @@ def cmd_asymptotics(args, stream) -> int:
             raise ValueError(f"g must be >= 0, got {args.g}")
         if n < 1:
             raise ValueError(f"n-max must be >= 1: the growth ratio needs terms n-1 and n, got {n}")
-        _check_order_cap(n, "n-max")
+        _check_limit(n, ORDER_CAP, "n-max", "cap")
         if args.sigma is None:
             if n < 2 * args.g + 1:
                 raise ValueError(
@@ -348,6 +360,7 @@ def cmd_asymptotics(args, stream) -> int:
             reference = "4"
         else:
             _check_pipeline_genus(args.g, "g")
+            _check_limit(args.sigma, MAX_SIGMA, "sigma")
             ratio = asymptotics.macromolecular_growth_ratio(args.g, args.sigma, n)
             reference = _fmt(
                 asymptotics.macromolecular_growth_interval(args.sigma).midpoint()
@@ -380,6 +393,8 @@ def cmd_verify(args, stream) -> int:
             f"{args.suite} runs the P_g pipeline to g-max + 1, and the "
             f"pipeline limit is {MAX_PIPELINE_GENUS}"
         )
+    if args.suite in ("hz", "all"):
+        _check_limit(args.n_max or 0, MAX_HZ_N, "--n-max")
     sigmas = tuple(args.sigma_list) if args.sigma_list else None
     results = verify.run_suite(
         args.suite, n_max=args.n_max, g_max=args.g_max, sigmas=sigmas

@@ -249,9 +249,6 @@ class PartialDiagram(_Diagram):
         """Number of backbone vertices."""
         return len(self.partners)
 
-    def unmatched_count(self) -> int:
-        return sum(1 for p in self.partners if p == _UNMATCHED)
-
     def matched_subdiagram(self) -> ChordDiagram:
         """Delete unmatched vertices and renumber the rest."""
         kept = [v for v, p in enumerate(self.partners) if p != _UNMATCHED]

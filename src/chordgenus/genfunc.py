@@ -250,14 +250,11 @@ def _pipeline_step(rec: GenusPolyRecord) -> GenusPolyRecord:
             f"series {c_series}"
         )
 
-    # Laurent assembly of P_{g+1}
-    w_pow = [Poly.one()]
-    for _ in range(top - 1):
-        w_pow.append(w_pow[-1] * _W)
-    inside = Poly.zero()
-    for j, aj in a_by_j.items():
-        if aj:
-            inside = inside + (w_pow[top - 1] - w_pow[top - j]).scale(aj / (j - 1))
+    # Laurent assembly of P_{g+1}: sum_j A_j/(j-1) (w^(top-1) - w^(top-j)),
+    # collected in powers of w (w^0 .. w^(top-2) from j = top .. 2, then
+    # w^(top-1)) and expanded in z once
+    terms = [a_by_j[j] / (j - 1) for j in range(top, 1, -1)]
+    inside = Poly.from_affine_basis([-t for t in terms] + [sum(terms)], -4, 1)
     if inside.coeff(0) != 0:
         raise ArithmeticError(
             f"z^0 of the Laurent assembly at g={g} is {inside.coeff(0)}, "

@@ -10,6 +10,7 @@ integer polynomial to a rational power with checked exact division.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
@@ -57,10 +58,6 @@ class Poly:
     @classmethod
     def one(cls) -> "Poly":
         return cls((1,))
-
-    @classmethod
-    def x(cls) -> "Poly":
-        return cls((0, 1))
 
     @classmethod
     def monomial(cls, k: int, c: Scalar = 1) -> "Poly":
@@ -120,26 +117,12 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly(())
-        out = [_ZERO] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-        return Poly(out)
+        return Poly(_list_mul(a, b, len(a) + len(b) - 2))
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative polynomial power")
-        result = Poly.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(Poly.one(), self, k)
 
     def scale(self, c: Scalar) -> "Poly":
         c = _f(c)
@@ -270,6 +253,19 @@ def _list_mul(a: Sequence[Scalar], b: Sequence[Scalar], n: int) -> list[Scalar]:
             if bj:
                 out[i + j] += ai * bj
     return out
+
+
+def _power(unit, base, k: int):
+    # base**k by square-and-multiply, for k >= 0; unit is the identity of
+    # base's ring (Poly.one(), or Series.one at base's order)
+    result = unit
+    while k:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
 
 
 def _list_div(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list[Fraction]:
@@ -418,14 +414,7 @@ class Series:
     def pow(self, k: int) -> "Series":
         if k < 0:
             raise ValueError("negative series power; use reciprocal first")
-        result = Series.one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(Series.one(self.order), self, k)
 
     # -- analytic ops
 
@@ -495,22 +484,10 @@ def sqrt_binomial(s: Series) -> Series:
     """Square root via the binomial series for (1+u)**(1/2)."""
     if s.coeffs[0] != 1:
         raise ValueError("series sqrt needs constant term 1")
-    n = s.order
-    u = list(s.coeffs)
-    u[0] = _ZERO
-    out = [_ONE] + [_ZERO] * n
-    v = next((i for i, c in enumerate(u) if c), None)
-    if v is None:
-        return Series(out)
-    power = [_ONE] + [_ZERO] * n
-    binom = _ONE
-    for k in range(1, n // v + 1):
-        binom *= (Fraction(1, 2) - (k - 1)) / k
-        power = _list_mul(power, u, n)
-        for i in range(k * v, n + 1):
-            if power[i]:
-                out[i] += binom * power[i]
-    return Series(out)
+    binom = itertools.accumulate(
+        range(1, s.order + 1), lambda b, k: b * (Fraction(1, 2) - (k - 1)) / k, initial=_ONE
+    )
+    return Series(binom).compose(s.add_scalar(-1))
 
 
 def rational_power(a: Sequence[Scalar], alpha: Scalar, order: int) -> list[int]:

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chordgenus.asymptotics import (
     DEFAULT_WIDTH,
@@ -39,10 +41,6 @@ class TestRationalInterval:
         assert iv.within(RationalInterval(Fraction(0), Fraction(1)))
         assert not iv.within(RationalInterval(Fraction(0), Fraction(2, 5)))
 
-    def test_scale_flips_on_negative(self):
-        iv = RationalInterval(Fraction(1), Fraction(2)).scale(Fraction(-3))
-        assert (iv.lo, iv.hi) == (Fraction(-6), Fraction(-3))
-
     def test_reciprocal(self):
         iv = RationalInterval(Fraction(1, 2), Fraction(2)).reciprocal()
         assert (iv.lo, iv.hi) == (Fraction(1, 2), Fraction(2))
@@ -55,7 +53,48 @@ class TestRationalInterval:
         assert iv.midpoint() == Fraction(3, 2)
 
 
+def bisected_sqrt(x, width):
+    # bracket_sqrt as it ran before the direct formula: bisection of
+    # [0, max(1, x)] over Fractions
+    if x == 0:
+        return RationalInterval(Fraction(0), Fraction(0))
+    lo, hi = Fraction(0), max(Fraction(1), x)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        if mid * mid <= x:
+            lo = mid
+        else:
+            hi = mid
+    return RationalInterval(lo, hi)
+
+
+positive_fractions = st.builds(
+    Fraction, st.integers(1, 10 ** 12), st.integers(1, 10 ** 12)
+)
+
+
 class TestBracketSqrt:
+    @settings(max_examples=200, deadline=None)
+    @given(st.fractions(min_value=0, max_value=10 ** 9), positive_fractions)
+    @example(Fraction(1), Fraction(1, 8))
+    @example(Fraction(1), Fraction(1))
+    @example(Fraction(49), Fraction(1, 10 ** 12))
+    @example(Fraction(1, 4), Fraction(3))
+    @example(Fraction(9), Fraction(9))
+    @example(Fraction(10 ** 6), DEFAULT_WIDTH)
+    def test_matches_bisection(self, x, width):
+        assert bracket_sqrt(x, width) == bisected_sqrt(x, width)
+
+    def test_x_one_keeps_its_bracket_below_one(self):
+        assert bracket_sqrt(Fraction(1), Fraction(1, 8)) == RationalInterval(
+            Fraction(7, 8), Fraction(1)
+        )
+
+    def test_rejects_nonpositive_width(self):
+        for width in (Fraction(0), Fraction(-1)):
+            with pytest.raises(ValueError):
+                bracket_sqrt(Fraction(2), width)
+
     def test_squares_bracket_the_input(self):
         for x in (Fraction(2), Fraction(5), Fraction(1, 7), Fraction(10 ** 6)):
             iv = bracket_sqrt(x)
@@ -141,7 +180,81 @@ class TestSturm:
         assert chain[0].degree == 1
 
 
+def grid_scan_root(p, width=DEFAULT_WIDTH, search_to=Fraction(2)):
+    # smallest_positive_root as it ran before the binary search: a linear
+    # scan of the grid k/1024 for a sign change or an exact zero
+    if count_roots_in(p, Fraction(0), search_to) == 0:
+        raise ArithmeticError(f"no root in (0, {search_to}]")
+    step = Fraction(1, 1024)
+    prev, prev_sign = Fraction(0), (1 if p(Fraction(0)) > 0 else -1)
+    x = step
+    while x <= search_to:
+        val = p(x)
+        if val == 0:
+            if count_roots_in(p, Fraction(0), prev) == 0:
+                return (x, x, True)
+            raise ArithmeticError("a smaller root precedes the grid hit")
+        sign = 1 if val > 0 else -1
+        if sign != prev_sign:
+            lo, hi = prev, x
+            if count_roots_in(p, Fraction(0), lo) != 0:
+                raise ArithmeticError(f"a root lies below the bracket ({lo}, {hi}]")
+            if count_roots_in(p, lo, hi) != 1:
+                raise ArithmeticError(f"bracket ({lo}, {hi}] does not isolate one root")
+            flo = p(lo)
+            while hi - lo > width:
+                mid = (lo + hi) / 2
+                fmid = p(mid)
+                if fmid == 0:
+                    return (mid, mid, True)
+                if (flo > 0) == (fmid > 0):
+                    lo, flo = mid, fmid
+                else:
+                    hi = mid
+            return (lo, hi, False)
+        prev, prev_sign = x, sign
+        x += step
+    raise ArithmeticError("grid scan found no sign change; widen the search")
+
+
+def bracket_of(iso):
+    return (iso.lo, iso.hi, iso.exact)
+
+
+# Roots 1/k with |k| <= 32 lie more than 1/1024 apart, so no grid cell holds
+# two of them and both routes must bracket the same smallest root.
+linear_factors = st.lists(
+    st.integers(-32, 32).filter(bool), min_size=1, max_size=5, unique=True
+).filter(lambda ks: max(ks) > 0)
+
+
 class TestSmallestPositiveRoot:
+    def test_matches_grid_scan_on_singularity_polynomials(self):
+        for sigma in range(1, 13):
+            p = singularity_polynomial(sigma)
+            assert bracket_of(smallest_positive_root(p)) == grid_scan_root(p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(linear_factors)
+    def test_matches_grid_scan_on_products_of_linear_factors(self, ks):
+        p = Poly.one()
+        for k in ks:
+            p = p * Poly([-1, k])
+        assert bracket_of(smallest_positive_root(p)) == grid_scan_root(p)
+
+    def test_two_roots_in_one_cell_rejected(self):
+        # 1/3000 and 1/1024 share the first cell (0, 1/1024]; the grid point
+        # 1/1024 is a root, but not the smallest one
+        p = Poly([-1, 1024]) * Poly([-1, 3000])
+        with pytest.raises(ArithmeticError, match="does not isolate one root"):
+            smallest_positive_root(p)
+
+    def test_even_multiplicity_root_rejected(self):
+        # (3000z - 1)^2 (1 - z): the double root 1/3000 leaves no sign change
+        p = Poly([-1, 3000]) ** 2 * Poly([1, -1])
+        with pytest.raises(ArithmeticError, match="does not isolate one root"):
+            smallest_positive_root(p)
+
     def test_golden_ratio_conjugate(self):
         iso = smallest_positive_root(Poly([1, -3, 1]))
         s5 = bracket_sqrt(Fraction(5))

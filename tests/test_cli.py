@@ -17,12 +17,15 @@ from hypothesis import strategies as st
 import chordgenus
 from chordgenus import bruteforce, cli, genfunc, recurrences, verify
 from chordgenus.cli import (
-    DEFAULT_ORDER_CAP,
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
     MAX_BIVARIATE_N,
+    MAX_HZ_N,
     MAX_PIPELINE_GENUS,
+    MAX_SIGMA,
+    MAX_TABLE_ROWS,
+    ORDER_CAP,
     main,
 )
 from chordgenus.series import BiSeries, Series
@@ -230,21 +233,75 @@ class TestTableLimits:
         assert code == EXIT_USAGE and "exceeds 3" in err
 
     @pytest.mark.parametrize("source", ["oracle", "formula"])
-    def test_g_max_past_the_order_cap_is_refused(self, capsys, monkeypatch, source):
-        g_max = str(DEFAULT_ORDER_CAP + 1)
-        argv = ("table", "cg", "--n-max", "2", "--g-max", g_max, "--source", source)
+    def test_g_max_past_the_row_limit_is_refused(self, capsys, source):
+        g_max = MAX_TABLE_ROWS // 3  # (g_max + 1) * 3 rows
+        argv = ("table", "cg", "--n-max", "2", "--g-max", str(g_max), "--source", source)
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE and out == ""
-        assert f"g-max {g_max} exceeds the cap {DEFAULT_ORDER_CAP}" in err
-        monkeypatch.setenv("CHORDGENUS_ORDER_CAP", g_max)
-        doc = run_json(capsys, *argv)
-        assert len(doc["payload"]["rows"]) == (DEFAULT_ORDER_CAP + 2) * 3
+        assert f"{(g_max + 1) * 3} rows, over the limit {MAX_TABLE_ROWS}" in err
+
+    @pytest.mark.parametrize("source", ["oracle", "formula"])
+    @pytest.mark.parametrize(
+        "argv, n_rows",
+        [
+            (("cg", "--n-max", "3"), 2 * 4),
+            (("cg", "--n-max", "2", "--g-max", "5"), 6 * 3),
+            (("cg-m", "--n-max", "2"), 2 * 3 * 3),
+            (("shapes", "--n-max", "3", "--g-max", "0"), 1 * 4 * 4),
+            (("mm", "--sigma", "1", "--n-max", "4"), 3 * 5),
+            (("mm", "--sigma", "1", "--n-max", "4", "--g", "7"), 1 * 5),
+        ],
+    )
+    def test_the_row_limit_counts_the_rows_printed(
+        self, capsys, monkeypatch, source, argv, n_rows
+    ):
+        argv = ("table", *argv, "--source", source)
+        monkeypatch.setattr(cli, "MAX_TABLE_ROWS", n_rows)
+        assert len(run_json(capsys, *argv)["payload"]["rows"]) == n_rows
+        monkeypatch.setattr(cli, "MAX_TABLE_ROWS", n_rows - 1)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert f"{n_rows} rows, over the limit {n_rows - 1}" in err
+
+    def test_the_row_limit_admits_the_benchmarked_tables(self):
+        assert 201 * 401 <= MAX_TABLE_ROWS  # table cg --n-max 400
+        assert 6 * 11 * 11 <= MAX_TABLE_ROWS  # table cg-m|shapes --n-max 10
 
     def test_verify_suites_without_the_pipeline_ignore_g_max(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "hz", "--n-max", "3", "--g-max", str(MAX_PIPELINE_GENUS)
         )
         assert code == EXIT_OK and "[FAIL]" not in out
+
+
+class TestCostLimits:
+    @pytest.mark.parametrize(
+        "argv, limit",
+        [
+            (("asymptotics", "singularity", "--sigma", str(MAX_SIGMA + 1)), MAX_SIGMA),
+            (
+                ("asymptotics", "growth", "--g", "1", "--sigma", str(MAX_SIGMA + 1)),
+                MAX_SIGMA,
+            ),
+            (("poly", "hz", "--n", str(MAX_HZ_N + 1)), MAX_HZ_N),
+            (("verify", "hz", "--n-max", str(MAX_HZ_N + 1)), MAX_HZ_N),
+            (("verify", "all", "--n-max", str(MAX_HZ_N + 1)), MAX_HZ_N),
+        ],
+    )
+    def test_refused_before_any_work(self, capsys, monkeypatch, argv, limit):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started past the limit")
+
+        monkeypatch.setattr(cli.asymptotics, "dominant_singularity", no_work)
+        monkeypatch.setattr(cli.asymptotics, "macromolecular_growth_ratio", no_work)
+        monkeypatch.setattr(cli.recurrences, "boundary_polynomials", no_work)
+        monkeypatch.setattr(cli.verify, "run_suite", no_work)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert f"exceeds the limit {limit}" in err
+
+    def test_the_limits_admit_the_benchmarked_requests(self):
+        assert MAX_SIGMA >= 8 and MAX_HZ_N >= 22
 
 
 class TestFormulaTablesReadDenseRows:
@@ -456,15 +513,12 @@ class TestSeries:
         doc = run_json(capsys, "series", "dg", "--g", "1", "--sigma", "1", "--order", "5")
         assert doc["payload"]["coefficients"] == ["0", "0", "0", "0", "1", "5"]
 
-    def test_order_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("CHORDGENUS_ORDER_CAP", "3")
-        code, _, err = run_cli(capsys, "series", "cg", "--g", "1", "--order", "4")
-        assert code == EXIT_USAGE and "cap" in err
-        monkeypatch.setenv("CHORDGENUS_ORDER_CAP", "10")
-        doc = run_json(capsys, "series", "cg", "--g", "1", "--order", "4")
-        assert doc["payload"]["coefficients"][-1] == "70"
+    def test_order_cap(self, capsys):
+        order = str(ORDER_CAP + 1)
+        code, _, err = run_cli(capsys, "series", "cg", "--g", "1", "--order", order)
+        assert code == EXIT_USAGE and f"order {order} exceeds the cap {ORDER_CAP}" in err
 
-    def test_formula_n_max_over_the_cap(self, capsys, monkeypatch):
+    def test_formula_n_max_over_the_cap(self, capsys):
         for argv in (
             ("table", "mm", "--sigma", "1", "--g", "1", "--n-max", "1001"),
             ("table", "cg", "--n-max", "100000"),
@@ -473,15 +527,6 @@ class TestSeries:
         ):
             code, out, err = run_cli(capsys, *argv)
             assert code == EXIT_USAGE and "cap 1000" in err and out == "", argv
-        monkeypatch.setenv("CHORDGENUS_ORDER_CAP", "1001")
-        doc = run_json(
-            capsys, "table", "mm", "--sigma", "1", "--g", "1", "--n-max", "1001"
-        )
-        assert len(doc["payload"]["rows"]) == 1002
-        doc = run_json(
-            capsys, "asymptotics", "growth", "--g", "1", "--sigma", "2", "--n-max", "1001"
-        )
-        assert doc["payload"]["n"] == "1001"
 
     def test_dg_requires_sigma(self, capsys):
         code, _, err = run_cli(capsys, "series", "dg", "--g", "1", "--order", "4")

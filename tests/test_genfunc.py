@@ -125,6 +125,22 @@ class TestGenusPolynomials:
             assert a_top == rec.q_prev(Fraction(1, 4))
             assert rec.poly(Fraction(1, 4)) == a_top / (3 * g_prev + 3)
 
+    def test_records_match_the_w_power_assembly(self):
+        # the Laurent assembly as it ran before the one basis change: a table
+        # of powers of w = 1-4z and one subtraction per partial fraction
+        w = Poly([1, -4])
+        for rec in genus_polynomial_records(12)[1:]:
+            top = 3 * (rec.g - 1) + 4
+            w_pow = [Poly.one()]
+            for _ in range(top - 1):
+                w_pow.append(w_pow[-1] * w)
+            inside = Poly.zero()
+            for j, aj in zip(range(2, top + 1), rec.partial_fractions):
+                if aj:
+                    inside = inside + (w_pow[top - 1] - w_pow[top - j]).scale(aj / (j - 1))
+            poly = inside.divide_by_power(1).scale(Fraction(-1, 4))
+            assert (rec.poly, rec.reduced) == (poly, poly.divide_by_power(2 * rec.g))
+
     def test_q_polynomial_structure(self):
         for g in range(1, 5):
             q = q_polynomial(g)

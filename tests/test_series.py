@@ -1,11 +1,13 @@
 import copy
+import operator
 import pickle
 import random
 from fractions import Fraction
+from functools import reduce
 from math import comb, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chordgenus.diagrams import ChordDiagram, PartialDiagram
@@ -69,9 +71,14 @@ def test_poly_evaluate_and_compose():
         assert p.compose(q)(z) == p(q(z))
 
 
-def test_poly_power_matches_repeated_mul():
+def test_powers_match_repeated_mul():
     p = Poly([1, 1])
     assert p ** 5 == Poly([comb(5, k) for k in range(6)])
+    rng = random.Random(55)
+    q, s = rand_poly(rng, 3), rand_series(rng, 8)
+    for k in range(10):
+        assert q ** k == reduce(operator.mul, [q] * k, Poly.one())
+        assert s.pow(k) == reduce(operator.mul, [s] * k, Series.one(s.order))
 
 
 def test_poly_derivative_and_divide_by_power():
@@ -153,6 +160,25 @@ def test_poly_ring_laws(coeff_lists):
     assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert a + zero == a and a * one == a and a * zero == zero
+
+
+def schoolbook_product(a, b):
+    # the double loop Poly.__mul__ ran before it shared the series kernel
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return Poly(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(small_fractions, max_size=6), min_size=2, max_size=2))
+@example([[], [Fraction(2), Fraction(1)]])
+@example([[Fraction(0), Fraction(0)], [Fraction(3)]])
+@example([[Fraction(0), Fraction(1)], []])
+def test_poly_product_matches_schoolbook_loop(coeff_lists):
+    a, b = coeff_lists
+    assert Poly(a) * Poly(b) == schoolbook_product(a, b)
 
 
 @settings(max_examples=100, deadline=None)
