@@ -217,10 +217,11 @@ def smallest_positive_root(
     With V(x) the sign variations of the chain at x, V(0) - V(x) counts the
     distinct roots in (0, x].  A binary search on that count over the grid
     points k/1024 <= search_to finds the first cell (lo, hi] that holds a
-    root.  The chain must certify exactly one root there, and unless it sits
-    on hi, p must change sign across the cell; otherwise ArithmeticError.
-    Bisection then narrows the bracket below ``width``.  A root hit exactly
-    on hi or on a bisection midpoint is returned with zero width.
+    root; a cell holding several is halved by the same count, keeping the
+    lower half whenever it holds a root, until one root is left.  Bisection
+    on the square-free part (the chain's head, whose roots are those of p,
+    each simple) then narrows the bracket below ``width``.  A root hit
+    exactly on hi or on a bisection midpoint is returned with zero width.
     """
     if p.is_zero() or p.degree < 1:
         raise ValueError("need a nonconstant polynomial")
@@ -242,20 +243,22 @@ def smallest_positive_root(
         else:
             k_hi, v_hi = k, v
     lo, hi = k_lo * step, k_hi * step
-    if v0 - v_hi != 1:
-        raise ArithmeticError(f"bracket ({lo}, {hi}] does not isolate one root")
-    fhi = p(hi)
+    # halve a cell holding several roots, keeping the lower half if it holds one
+    while v0 - v_hi > 1:
+        mid = (lo + hi) / 2
+        v = _signs_at(chain, mid)
+        if v == v0:
+            lo = mid
+        else:
+            hi, v_hi = mid, v
+    sf = chain[0]
+    fhi = sf(hi)
     if fhi == 0:
         return RootIsolation(p, hi, hi, exact=True)
-    flo = p(lo)
-    if (flo > 0) == (fhi > 0):
-        raise ArithmeticError(
-            f"bracket ({lo}, {hi}] does not isolate one root: its root has even "
-            "multiplicity, so p keeps its sign"
-        )
+    flo = sf(lo)
     while hi - lo > width:
         mid = (lo + hi) / 2
-        fmid = p(mid)
+        fmid = sf(mid)
         if fmid == 0:
             return RootIsolation(p, mid, mid, exact=True)
         if (flo > 0) == (fmid > 0):

@@ -25,10 +25,10 @@ from . import __version__, asymptotics, bruteforce, genfunc, recurrences, verify
 # Largest series order or formula n-max (``series --order``, ``table
 # --source formula --n-max``, ``asymptotics growth --n-max``).
 ORDER_CAP = 1000
-# Largest genus a request may push through the P_g pipeline.  The pipeline
-# cost grows about as g^3: building P_1..P_30 takes about 2 s on a 2-core
-# host (P_22 0.8 s, P_40 5 s, P_50 9 s), and the heaviest admitted request,
-# ``table mm --n-max 1000 --g-max 30 --source formula``, about 4 s.
+# Largest genus a request may push through the P_g pipeline.  Building
+# P_1..P_g cold takes 0.3 s at g = 30, 0.4-0.5 s at 40, 0.6-0.8 s at 50 and
+# 0.9 s at 60 on a 2-core host; ``table mm --n-max 1000 --g-max 30`` spends
+# its 2-17 s (sigma 1..5) expanding the series, not building P_g.
 MAX_PIPELINE_GENUS = 30
 # Largest n-max of ``table cg-m|shapes --source formula``.  Per genus, cg-m
 # costs O(n^2) integer steps (the y = 0 column and the PDE) and shapes adds
@@ -48,13 +48,14 @@ MAX_BIVARIATE_N = 90
 # so the bound admits cg up to n-max 773 (about 5 s), cg-m and shapes up to
 # n-max 83 over every genus, and no table of millions of zero rows.
 MAX_TABLE_ROWS = 300_000
-# Largest sigma whose singularity polynomial is isolated (``asymptotics
-# singularity|growth --sigma``).  The Sturm chain's cost grows about as
-# sigma^3.5: sigma 20 takes 0.8 s, 30 1.8 s, 40 3.9 s, 60 12 s.
+# Largest sigma of every request that takes one: ``asymptotics
+# singularity|growth``, ``series dg``, ``table mm`` and each ``verify
+# --sigma``.  The singularity's Sturm chain costs about sigma^3.5: sigma 20
+# takes 0.6 s, 30 1.6 s, 40 3.7 s, 60 12 s.
 MAX_SIGMA = 40
 # Largest n of the boundary polynomials p(n, x) (``poly hz --n``, ``verify
-# hz --n-max``): n 60 takes 1.1 s, 80 2.6 s and 3.2 s with the exp/log
-# witness of verify, 100 4.6 s.
+# hz --n-max``): n 60 takes 0.6 s, 80 1.1 s and 1.9 s with the exp/log
+# witness of verify; the polynomials alone take 1.7-2.0 s at n 100.
 MAX_HZ_N = 80
 
 EXIT_OK = 0
@@ -196,6 +197,8 @@ def cmd_table(args, stream) -> int:
     for flag, value in (("n-max", args.n_max), ("g-max", args.g_max), ("g", args.g)):
         if value is not None and value < 0:
             raise ValueError(f"{flag} must be >= 0")
+    if args.sigma is not None:
+        _check_limit(args.sigma, MAX_SIGMA, "sigma")
     g_max = args.g_max if args.g_max is not None else args.n_max // 2
     bivariate = args.table_class in ("cg-m", "shapes")
     if args.source == "formula":
@@ -282,6 +285,7 @@ def cmd_series(args, stream) -> int:
     else:
         if args.sigma is None:
             raise ValueError("series dg requires --sigma")
+        _check_limit(args.sigma, MAX_SIGMA, "sigma")
         _check_pipeline_genus(args.g, "g")
         ser = genfunc.macromolecular_series(args.g, args.sigma, args.order)
         params = {
@@ -395,6 +399,8 @@ def cmd_verify(args, stream) -> int:
         )
     if args.suite in ("hz", "all"):
         _check_limit(args.n_max or 0, MAX_HZ_N, "--n-max")
+    if args.sigma_list:
+        _check_limit(max(args.sigma_list), MAX_SIGMA, "--sigma")
     sigmas = tuple(args.sigma_list) if args.sigma_list else None
     results = verify.run_suite(
         args.suite, n_max=args.n_max, g_max=args.g_max, sigmas=sigmas

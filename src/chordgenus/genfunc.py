@@ -228,22 +228,21 @@ def _pipeline_step(rec: GenusPolyRecord) -> GenusPolyRecord:
     q = _q_from_poly(rec.poly, g)
     top = 3 * g + 4
 
-    # partial fractions: rebase Q_g in powers of w = 1-4z, then
+    # partial fractions: rebase Q_g in powers of w = 1-4z (z = (1-w)/4), then
     # Q_g / w^top = sum_j A_j / w^j with A_j the rebased coefficient at top-j
-    rebased = q.in_affine_basis(-4, 1)
+    rebased = q.substitute(Fraction(1, 4), Fraction(-1, 4))
     a_by_j = {j: rebased.coeff(top - j) for j in range(2, top + 1)}
 
     # integration constant, route 1: the closed formula
     c_formula = -sum(aj / (4 * (j - 1)) for j, aj in a_by_j.items())
-    # route 2: expand the antiderivative as a series with unknown constant C
-    # and solve for C so the z^1 coefficient of the numerator vanishes
-    w_short = _W.as_series(2)
-    base = Series.zero(2)
+    # route 2: expand the antiderivative to order 2 in integer powers of w with
+    # unknown C; C makes the z^1 coefficient of the numerator vanish
+    base = [Fraction(0)] * 3
     for j, aj in a_by_j.items():
-        if aj:
-            base = base + w_short.pow(j - 1).reciprocal().scale(aj / (4 * (j - 1)))
-    t = base * w_short.sqrt()
-    c_series = t.coeff(1) / 2
+        for k, c in enumerate(rational_power(_W.coeffs, 1 - j, 2)):
+            base[k] += c * aj / (4 * (j - 1))
+    t = _list_mul(base, rational_power(_W.coeffs, Fraction(1, 2), 2), 1)
+    c_series = t[1] / 2
     if c_formula != c_series:
         raise ArithmeticError(
             f"integration constant mismatch at g={g}: formula {c_formula}, "
@@ -252,9 +251,9 @@ def _pipeline_step(rec: GenusPolyRecord) -> GenusPolyRecord:
 
     # Laurent assembly of P_{g+1}: sum_j A_j/(j-1) (w^(top-1) - w^(top-j)),
     # collected in powers of w (w^0 .. w^(top-2) from j = top .. 2, then
-    # w^(top-1)) and expanded in z once
+    # w^(top-1)) and expanded in z once, at w = 1-4z
     terms = [a_by_j[j] / (j - 1) for j in range(top, 1, -1)]
-    inside = Poly.from_affine_basis([-t for t in terms] + [sum(terms)], -4, 1)
+    inside = Poly([-t for t in terms] + [sum(terms)]).substitute(1, -4)
     if inside.coeff(0) != 0:
         raise ArithmeticError(
             f"z^0 of the Laurent assembly at g={g} is {inside.coeff(0)}, "

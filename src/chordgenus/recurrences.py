@@ -161,11 +161,10 @@ def boundary_polynomials(n_max: int) -> BoundaryPolyTable:
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    shift = Poly([-1, 1])  # x -> x - 1
     rows = [Poly([0, 1])]
     for n in range(1, n_max + 1):
         prev = rows[n - 1]
-        rhs = prev + prev.compose(shift)
+        rhs = prev + prev.substitute(-1, 1)  # p(n-1, x) + p(n-1, x-1)
         rows.append(_antidifference(rhs))
     return BoundaryPolyTable(tuple(rows))
 

@@ -4,8 +4,10 @@ Everything here is built on ``fractions.Fraction``; no floating point enters.
 A ``Series`` knows the truncation order it is exact to and refuses to produce
 coefficients it cannot guarantee.  ``Poly`` is an exact polynomial, and
 ``BiSeries`` is a truncated series in two variables on a rectangular
-coefficient grid.  ``rational_power`` is the one integer kernel: it raises an
-integer polynomial to a rational power with checked exact division.
+coefficient grid.  Two kernels run on Python ints: ``rational_power`` raises
+an integer polynomial to a rational power with checked exact division, and
+the Taylor shift behind ``Poly.substitute``, the one change of polynomial
+basis, rewrites p(z) as p(a + b z).
 """
 
 from __future__ import annotations
@@ -154,30 +156,25 @@ class Poly:
             acc = acc * z + c
         return acc
 
-    def compose(self, inner: "Poly") -> "Poly":
-        """self(inner(z)), exact."""
-        acc = Poly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly((c,))
-        return acc
+    def substitute(self, a: Scalar, b: Scalar) -> "Poly":
+        """self(a + b*z), exact: the one change of polynomial basis.
 
-    def in_affine_basis(self, scale: Scalar, shift: Scalar) -> "Poly":
-        """Coefficients of self in powers of (shift + scale*z).
-
-        Returns q with self(z) = sum_k q.coeff(k) * (shift + scale*z)**k.
-        With scale=-4, shift=1 this rewrites a polynomial in powers of 1-4z.
+        With u = (b/a) z, self(a + b z) = sum_i (p_i a^i) (1 + u)^i.  The
+        coefficients p_i a^i are put over one denominator and Taylor-shifted
+        by 1 in O(d^2) integer additions (Knuth, TAOCP vol. 2, 4.6.4); then
+        coefficient k is scaled by (b/a)^k.  With a = 0 it only scales.
         """
-        scale = _f(scale)
-        shift = _f(shift)
-        if scale == 0:
-            raise ValueError("affine basis needs scale != 0")
-        # substitute z = (w - shift)/scale and expand in w
-        return self.compose(Poly((-shift / scale, 1 / scale)))
-
-    @staticmethod
-    def from_affine_basis(coeffs: Sequence[Scalar], scale: Scalar, shift: Scalar) -> "Poly":
-        """Inverse of in_affine_basis: expand sum_k c_k (shift + scale*z)**k."""
-        return Poly([_f(c) for c in coeffs]).compose(Poly((shift, scale)))
+        a, b = _f(a), _f(b)
+        if not a:
+            return Poly(c * b ** i for i, c in enumerate(self.coeffs))
+        scaled = [c * a ** i for i, c in enumerate(self.coeffs)]
+        den = math.lcm(*(c.denominator for c in scaled))
+        shifted = [c.numerator * (den // c.denominator) for c in scaled]
+        for i in range(len(shifted) - 1):
+            for j in range(len(shifted) - 2, i - 1, -1):
+                shifted[j] += shifted[j + 1]
+        ratio = b / a
+        return Poly(Fraction(c, den) * ratio ** k for k, c in enumerate(shifted))
 
     def as_series(self, order: int) -> "Series":
         """The polynomial viewed as a series; exact to any order."""

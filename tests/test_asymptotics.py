@@ -242,18 +242,42 @@ class TestSmallestPositiveRoot:
             p = p * Poly([-1, k])
         assert bracket_of(smallest_positive_root(p)) == grid_scan_root(p)
 
-    def test_two_roots_in_one_cell_rejected(self):
+    @staticmethod
+    def assert_brackets(p, root):
+        iso = smallest_positive_root(p)
+        assert iso.lo <= root <= iso.hi
+        assert iso.hi - iso.lo <= DEFAULT_WIDTH
+        # no root below the bracket; an exact hit counts itself in (0, lo]
+        assert count_roots_in(p, Fraction(0), iso.lo) == (1 if iso.exact else 0)
+
+    def test_two_roots_in_one_cell_are_split(self):
         # 1/3000 and 1/1024 share the first cell (0, 1/1024]; the grid point
         # 1/1024 is a root, but not the smallest one
-        p = Poly([-1, 1024]) * Poly([-1, 3000])
-        with pytest.raises(ArithmeticError, match="does not isolate one root"):
-            smallest_positive_root(p)
+        self.assert_brackets(Poly([-1, 1024]) * Poly([-1, 3000]), Fraction(1, 3000))
 
-    def test_even_multiplicity_root_rejected(self):
-        # (3000z - 1)^2 (1 - z): the double root 1/3000 leaves no sign change
-        p = Poly([-1, 3000]) ** 2 * Poly([1, -1])
-        with pytest.raises(ArithmeticError, match="does not isolate one root"):
-            smallest_positive_root(p)
+    def test_even_multiplicity_root_is_bracketed(self):
+        # (3000z - 1)^2 (1 - z): p keeps its sign across the double root
+        # 1/3000, its square-free part does not
+        self.assert_brackets(Poly([-1, 3000]) ** 2 * Poly([1, -1]), Fraction(1, 3000))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(1000, 9000), st.integers(1, 3)),
+            min_size=1,
+            max_size=4,
+            unique_by=lambda km: km[0],
+        )
+    )
+    @example([(3000, 1), (2900, 1), (1024, 1)])
+    @example([(1024, 1)])
+    def test_crowded_first_cell(self, factors):
+        # every root 1/k lies in (0, 1/1000]: one to four roots, some of them
+        # repeated, share the first grid cell or its neighbour
+        p = Poly([1, -1])
+        for k, m in factors:
+            p = p * Poly([-1, k]) ** m
+        self.assert_brackets(p, Fraction(1, max(k for k, _ in factors)))
 
     def test_golden_ratio_conjugate(self):
         iso = smallest_positive_root(Poly([1, -3, 1]))

@@ -286,6 +286,24 @@ class TestCostLimits:
             (("poly", "hz", "--n", str(MAX_HZ_N + 1)), MAX_HZ_N),
             (("verify", "hz", "--n-max", str(MAX_HZ_N + 1)), MAX_HZ_N),
             (("verify", "all", "--n-max", str(MAX_HZ_N + 1)), MAX_HZ_N),
+            (
+                ("series", "dg", "--g", "1", "--sigma", str(MAX_SIGMA + 1), "--order", "10"),
+                MAX_SIGMA,
+            ),
+            (("series", "dg", "--g", "1", "--sigma", "1000000000", "--order", "10"), MAX_SIGMA),
+            (
+                ("table", "mm", "--n-max", "10", "--g", "1", "--sigma", str(MAX_SIGMA + 1)),
+                MAX_SIGMA,
+            ),
+            (("table", "mm", "--n-max", "10", "--g", "1", "--sigma", "1000000000"), MAX_SIGMA),
+            (
+                ("table", "mm", "--n-max", "10", "--sigma", str(MAX_SIGMA + 1),
+                 "--source", "oracle"),
+                MAX_SIGMA,
+            ),
+            (("verify", "mm", "--sigma", str(MAX_SIGMA + 1)), MAX_SIGMA),
+            (("verify", "mm", "--sigma", "1", "--sigma", "1000000000"), MAX_SIGMA),
+            (("verify", "all", "--sigma", str(MAX_SIGMA + 1), "--sigma", "2"), MAX_SIGMA),
         ],
     )
     def test_refused_before_any_work(self, capsys, monkeypatch, argv, limit):
@@ -296,6 +314,8 @@ class TestCostLimits:
         monkeypatch.setattr(cli.asymptotics, "macromolecular_growth_ratio", no_work)
         monkeypatch.setattr(cli.recurrences, "boundary_polynomials", no_work)
         monkeypatch.setattr(cli.verify, "run_suite", no_work)
+        monkeypatch.setattr(cli.genfunc, "macromolecular_series", no_work)
+        monkeypatch.setattr(cli.bruteforce, "count_macromolecular", no_work)
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE and out == ""
         assert f"exceeds the limit {limit}" in err

@@ -61,14 +61,13 @@ def test_poly_ring_axioms():
         assert a - a == Poly.zero()
 
 
-def test_poly_evaluate_and_compose():
+def test_poly_evaluate_and_substitute():
     p = Poly([1, -3, 2])  # 1 - 3z + 2z^2
     assert p(2) == 1 - 6 + 8
-    q = Poly([0, 1, 1])
     rng = random.Random(7)
     for _ in range(20):
-        z = rand_fraction(rng)
-        assert p.compose(q)(z) == p(q(z))
+        a, b, z = rand_fraction(rng), rand_fraction(rng), rand_fraction(rng)
+        assert p.substitute(a, b)(z) == p(a + b * z)
 
 
 def test_powers_match_repeated_mul():
@@ -89,20 +88,21 @@ def test_poly_derivative_and_divide_by_power():
         p.divide_by_power(3)
 
 
-def test_affine_basis_spec_case():
-    # z^2 rewritten in powers of (1 - 4z)
-    q = Poly([0, 0, 1]).in_affine_basis(-4, 1)
+def test_substitute_spec_case():
+    # z^2 rewritten in powers of w = 1 - 4z: substitute z = 1/4 - w/4
+    q = Poly([0, 0, 1]).substitute(Fraction(1, 4), Fraction(-1, 4))
     assert q.coeffs == (Fraction(1, 16), Fraction(-1, 8), Fraction(1, 16))
+    assert q.substitute(1, -4) == Poly([0, 0, 1])
 
 
-def test_affine_basis_round_trip():
+def test_substitute_round_trip():
+    # z -> a + b z is undone by z -> -a/b + z/b
     rng = random.Random(33)
     for _ in range(25):
         p = rand_poly(rng)
-        scale = Fraction(rng.choice([-4, -1, 2, 3]), rng.choice([1, 2]))
-        shift = rand_fraction(rng)
-        q = p.in_affine_basis(scale, shift)
-        assert Poly.from_affine_basis(q.coeffs, scale, shift) == p
+        a = rand_fraction(rng)
+        b = Fraction(rng.choice([-4, -1, 2, 3]), rng.choice([1, 2]))
+        assert p.substitute(a, b).substitute(-a / b, 1 / b) == p
 
 
 def test_poly_divmod_and_gcd():
@@ -179,6 +179,33 @@ def schoolbook_product(a, b):
 def test_poly_product_matches_schoolbook_loop(coeff_lists):
     a, b = coeff_lists
     assert Poly(a) * Poly(b) == schoolbook_product(a, b)
+
+
+def horner_compose(p, inner):
+    # the Horner loop Poly.compose ran before the Taylor-shift kernel
+    acc = Poly.zero()
+    for c in reversed(p.coeffs):
+        acc = acc * inner + Poly((c,))
+    return acc
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(small_fractions, max_size=9),
+    st.one_of(st.just(Fraction(0)), small_fractions),
+    st.one_of(st.just(Fraction(0)), small_fractions),
+    small_fractions,
+)
+@example([], Fraction(2), Fraction(3), Fraction(1))
+@example([Fraction(5)], Fraction(-1), Fraction(1), Fraction(2))
+@example([Fraction(1), Fraction(2), Fraction(3)], Fraction(0), Fraction(-2), Fraction(1, 3))
+@example([Fraction(1), Fraction(2), Fraction(3)], Fraction(3, 2), Fraction(0), Fraction(7))
+@example([Fraction(1), Fraction(2), Fraction(3)], Fraction(0), Fraction(0), Fraction(-1))
+def test_substitute_matches_horner_composition(coeffs, a, b, t):
+    p = Poly(coeffs)
+    q = p.substitute(a, b)
+    assert q == horner_compose(p, Poly((a, b)))
+    assert q(t) == p(a + b * t)
 
 
 @settings(max_examples=100, deadline=None)
