@@ -30,20 +30,14 @@ ORDER_CAP = 1000
 # 0.9 s at 60 on a 2-core host; ``table mm --n-max 1000 --g-max 30`` spends
 # its 2-17 s (sigma 1..5) expanding the series, not building P_g.
 MAX_PIPELINE_GENUS = 30
-# Largest n-max of ``table cg-m|shapes --source formula``.  Per genus, cg-m
-# costs O(n^2) integer steps (the y = 0 column and the PDE) and shapes adds
-# an O(n^3) binomial transform; with n // 2 + 1 genera and (n+1)^2 rows
-# each, shapes is the slower class: about 0.4 s at n = 60, 1.3 s at 80,
-# 1.5-2.0 s at 90 and 2.8 s at 100 on a 2-core host (cg-m 0.2, 0.5, 0.7
-# and 0.8-1.1 s).
-MAX_BIVARIATE_N = 90
 # Largest number of rows a ``table`` request may print: genera x (n-max + 1),
 # times (n-max + 1) again for cg-m and shapes, with one genus for ``mm --g``.
 # Per row the cost depends on the class; on a 2-core host:
 #   cg formula   n-max 700: 246 k rows 3.5 s; 800: 321 k rows 5.3 s
 #                (the counts have up to 480 digits); zero rows past
 #                n-max // 2: 303 k rows 0.5 s
-#   cg-m, shapes n-max 90, every genus: 381 k rows 0.9 s, 2.2 s
+#   cg-m, shapes n-max 83, every genus: 296 k rows 0.8 s, 0.9 s;
+#                n-max 546 at g-max 0: 299 k rows 2.7 s, 3.2 s
 #   oracle       n-max 8: 450 k rows of cg 4.7 s, 405 k of shapes 3.6 s
 # so the bound admits cg up to n-max 773 (about 5 s), cg-m and shapes up to
 # n-max 83 over every genus, and no table of millions of zero rows.
@@ -197,24 +191,21 @@ def cmd_table(args, stream) -> int:
     for flag, value in (("n-max", args.n_max), ("g-max", args.g_max), ("g", args.g)):
         if value is not None and value < 0:
             raise ValueError(f"{flag} must be >= 0")
+    if args.g is not None and args.table_class != "mm":
+        raise ValueError("--g applies to table mm only; use --g-max")
     if args.sigma is not None:
         _check_limit(args.sigma, MAX_SIGMA, "sigma")
     g_max = args.g_max if args.g_max is not None else args.n_max // 2
     bivariate = args.table_class in ("cg-m", "shapes")
     if args.source == "formula":
         _check_limit(args.n_max, ORDER_CAP, "n-max", "cap")
-        if bivariate and args.n_max > MAX_BIVARIATE_N:
-            raise ValueError(
-                f"n-max {args.n_max} exceeds the limit {MAX_BIVARIATE_N} of the "
-                f"bivariate formula tables (cg-m, shapes)"
-            )
         if args.table_class == "mm":
             if args.g is not None:
                 _check_pipeline_genus(args.g, "g")
             else:
                 _check_pipeline_genus(g_max, "g-max")
     # every genus up to g-max gets its rows, all zero past n-max // 2
-    genera = 1 if args.table_class == "mm" and args.g is not None else g_max + 1
+    genera = 1 if args.g is not None else g_max + 1
     n_rows = genera * (args.n_max + 1) * (args.n_max + 1 if bivariate else 1)
     if n_rows > MAX_TABLE_ROWS:
         raise ValueError(

@@ -15,20 +15,19 @@ macromolecular (minimum stack size sigma) series live here too.
 
 The univariate counts come from the recursion as one dense int row per
 genus (``recurrences.diagram_count_rows``).  The bivariate refinement
-C_g(x, y), with y marking 1-chords, is built from that row in integers, not
-by composing series:
+C_g(x, y), with y marking 1-chords, and the shape series
+S_g(z, u) = C_g(z/(1+z), u) are built from that row in integers, not by
+composing series, in O(n^2) steps per genus, each division checked exact:
 
-- the y = 0 column is C_g(x, 0) = C_g(x/(1+x)^2) / (1+x), so
-  c[i][0] = sum_k (-1)^(i-k) binom(i+k, 2k) c_g(k), O(n^2) per genus;
-- every further column follows from the PDE
-  (1 - x + xy) dC/dy = 2x^2 dC/dx + xC, which reads
-  (j+1) c[i][j+1] = (j+1) c[i-1][j+1] + (2i-1-j) c[i-1][j]
-  with each division checked exact, O(n^2) per genus;
-- the shape series is the inverse stack inflation S_g(z, u) = C_g(z/(1+z), u),
-  the binomial transform s[i][j] = sum_k (-1)^(i-k) binom(i-1, k-1) c[k][j],
-  taken as an iterated difference table, O(n^3) additions per genus.
+- both start from the y = 0 column C_g(x, 0) = C_g(x/(1+x)^2) / (1+x),
+  c[i][0] = sum_k (-1)^(i-k) binom(i+k, 2k) c_g(k);
+- C_g takes every further column from (1 - x + xy) dC/dy = 2x^2 dC/dx + xC,
+  (j+1) c[i][j+1] = (j+1) c[i-1][j+1] + (2i-1-j) c[i-1][j];
+- S_g starts from s[i][0] = sum_{k=1..i} (-1)^(i-k) binom(i-1, k-1) c[k][0]
+  and takes every further column from (1 + zu) dS/du = 2z^2 (1+z) dS/dz + zS,
+  (j+1) s[i][j+1] = (2i-1-j) s[i-1][j] + 2(i-2) s[i-2][j].
 
-A series built from the PDE satisfies the PDE by construction, so the
+A series built from a PDE satisfies it by construction, so the
 compositions the paper writes, 1/(x+1-yx) C_g(x/(x+1-yx)^2) and its shape
 analogue, are kept as the witnesses ``_diagram_bivariate_composed`` and
 ``_shape_bivariate_composed`` (about n^5 over Fractions).  The PDE residual
@@ -340,20 +339,22 @@ def ode_residual(g: int, order: int) -> Series:
 # ---------------------------------------------------------------------------
 
 
-def _refined_rows(counts: Sequence[int], order_y: int) -> list[list[int]]:
-    """c[i][j], diagrams with i chords and j 1-chords, from the counts c_g(i).
-
-    The y = 0 column is the binomial sum over ``counts``; column j+1 comes
-    from column j by the PDE step, every division checked exact.
-    """
-    grid = [[0] * (order_y + 1) for _ in counts]
-    for i, row in enumerate(grid):
+def _y0_column(counts: Sequence[int]) -> list[int]:
+    """c[i][0] = sum_k (-1)^(i-k) binom(i+k, 2k) c_g(k), diagrams with no 1-chord."""
+    column = []
+    for i in range(len(counts)):
         acc = 0
         for k in range(i + 1):
             if counts[k]:
                 term = math.comb(i + k, 2 * k) * counts[k]
                 acc += -term if (i - k) & 1 else term
-        row[0] = acc
+        column.append(acc)
+    return column
+
+
+def _refined_rows(counts: Sequence[int], order_y: int) -> list[list[int]]:
+    """c[i][j], diagrams with i chords and j 1-chords, from the counts c_g(i)."""
+    grid = [[c] + [0] * order_y for c in _y0_column(counts)]
     for j in range(order_y):
         for i in range(1, len(grid)):
             step, rem = divmod((2 * i - 1 - j) * grid[i - 1][j], j + 1)
@@ -366,19 +367,25 @@ def _refined_rows(counts: Sequence[int], order_y: int) -> list[list[int]]:
     return grid
 
 
-def _deflated_rows(grid: list[list[int]]) -> list[list[int]]:
-    """The rows of S(z, u) = C(z/(1+z), u), the inverse stack inflation.
-
-    Row i >= 1 is the (i-1)-th forward difference of rows 1, 2, ... of C at
-    its first entry, sum_k (-1)^(i-k) binom(i-1, k-1) c[k], built from a
-    difference table in O(n^2) row subtractions.
-    """
-    out = [list(grid[0])]
-    diff = grid[1:]
-    while diff:
-        out.append(list(diff[0]))
-        diff = [[b - a for a, b in zip(lo, hi)] for lo, hi in zip(diff, diff[1:])]
-    return out
+def _shape_rows(counts: Sequence[int], order_u: int) -> list[list[int]]:
+    """s[i][j], shapes with i chords and j 1-chords, from the counts c_g(i)."""
+    column = _y0_column(counts)
+    grid = [[column[0]] + [0] * order_u]
+    for i in range(1, len(column)):
+        terms = ((-1) ** (i - k) * math.comb(i - 1, k - 1) * column[k] for k in range(1, i + 1))
+        grid.append([sum(terms)] + [0] * order_u)
+    for j in range(order_u):
+        for i in range(1, len(grid)):
+            num = (2 * i - 1 - j) * grid[i - 1][j]
+            if i >= 2:
+                num += 2 * (i - 2) * grid[i - 2][j]
+            grid[i][j + 1], rem = divmod(num, j + 1)
+            if rem:
+                raise ArithmeticError(
+                    f"shape PDE step produced a non-integer at z^{i} u^{j + 1}: "
+                    f"{Fraction(num, j + 1)}"
+                )
+    return grid
 
 
 def _check_orders(g: int, order_x: int, order_y: int) -> None:
@@ -397,9 +404,7 @@ def diagram_bivariate_rows(g: int, order_x: int, order_y: int) -> list[list[int]
 def shape_bivariate_rows(g: int, order_z: int, order_u: int) -> list[list[int]]:
     """The coefficients of S_g(z, u) as int rows, ``rows[i][j]`` at z^i u^j."""
     _check_orders(g, order_z, order_u)
-    grid = _refined_rows(_genus_row(g, order_z), order_u)
-    # below n = 2g the grid is zero, and a zero grid deflates to itself
-    return _deflated_rows(grid) if 2 * g <= order_z else grid
+    return _shape_rows(_genus_row(g, order_z), order_u)
 
 
 def diagram_bivariate(g: int, order_x: int, order_y: int) -> BiSeries:
@@ -413,7 +418,8 @@ def diagram_bivariate(g: int, order_x: int, order_y: int) -> BiSeries:
 def shape_bivariate(g: int, order_z: int, order_u: int) -> BiSeries:
     """S_g(z, u) = (1+z)/(1+2z-zu) C_g(z(1+z)/(1+2z-zu)^2); u marks 1-chords.
 
-    Built as C_g(z/(1+z), u) from the integer rows of C_g(x, y).
+    Built from the y = 0 column of C_g(x, y) and the shape PDE; see the
+    module docstring.
     """
     return BiSeries(shape_bivariate_rows(g, order_z, order_u))
 

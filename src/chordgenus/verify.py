@@ -250,8 +250,8 @@ def suite_shapes(n_max: int = 5) -> list[CheckResult]:
             "stack inflation carries shapes onto diagrams",
             genera,
             lambda g: genfunc.shape_bivariate_inflated(g, n_max, n_max),
-            # the composition, not ``diagrams``: the shape rows are derived
-            # from the same integer rows as ``diagram_bivariate``
+            # the composition, not ``diagrams``: the shape rows start from
+            # the same y = 0 column as ``diagram_bivariate``
             lambda g: genfunc._diagram_bivariate_composed(g, n_max, n_max),
             "substitution identity holds",
             lambda g, *_: f"first counterexample g={g}",

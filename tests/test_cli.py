@@ -20,7 +20,6 @@ from chordgenus.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
-    MAX_BIVARIATE_N,
     MAX_HZ_N,
     MAX_PIPELINE_GENUS,
     MAX_SIGMA,
@@ -110,6 +109,15 @@ class TestTable:
             )
             assert code == EXIT_USAGE and out == ""
 
+    @pytest.mark.parametrize("source", ["oracle", "formula"])
+    @pytest.mark.parametrize("table_class", ["cg", "cg-m", "shapes"])
+    def test_genus_outside_mm_is_a_usage_error(self, capsys, source, table_class):
+        code, out, err = run_cli(
+            capsys, "table", table_class, "--n-max", "3", "--g", "2", "--source", source
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert "--g applies to table mm only" in err
+
     def test_oracle_cap_message_names_the_library_keyword(self, capsys):
         code, _, err = run_cli(capsys, "table", "mm", "--sigma", "1", "--n-max", "15",
                                "--source", "oracle")
@@ -151,7 +159,14 @@ class TestTableEmitter:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("source", ["oracle", "formula"])
     @pytest.mark.parametrize(
-        "table_class", [("cg",), ("cg-m",), ("shapes",), ("mm", "--sigma", "2")]
+        "table_class",
+        [
+            ("cg",),
+            ("cg-m",),
+            ("shapes",),
+            ("mm", "--sigma", "2"),
+            ("mm", "--sigma", "2", "--g", "1"),
+        ],
     )
     @pytest.mark.parametrize(
         "bounds",
@@ -160,7 +175,6 @@ class TestTableEmitter:
             ("--n-max", "4"),
             ("--n-max", "5", "--g-max", "1"),
             ("--n-max", "3", "--g-max", "4"),
-            ("--n-max", "6", "--g", "1"),
         ],
     )
     def test_output_equals_the_dict_row_rendering(
@@ -199,23 +213,23 @@ class TestTableEmitter:
 
 
 class TestTableLimits:
-    def test_bivariate_limit_admits_the_benchmarked_sizes(self):
-        assert MAX_BIVARIATE_N >= 10
+    @pytest.mark.parametrize("table_class", ["cg-m", "shapes"])
+    def test_bivariate_tables_past_the_row_limit_are_refused_before_any_work(
+        self, capsys, monkeypatch, table_class
+    ):
+        def no_work(*args):
+            raise AssertionError("work started past the row limit")
+
+        for name in ("_y0_column", "_refined_rows", "_shape_rows"):
+            monkeypatch.setattr(genfunc, name, no_work)
+        code, out, err = run_cli(capsys, "table", table_class, "--n-max", "547", "--g-max", "0")
+        assert code == EXIT_USAGE and out == ""
+        assert f"{548 * 548} rows, over the limit {MAX_TABLE_ROWS}" in err
 
     @pytest.mark.parametrize("table_class", ["cg-m", "shapes"])
-    def test_bivariate_formula_tables_past_the_limit_are_refused(self, capsys, table_class):
-        code, out, err = run_cli(
-            capsys, "table", table_class, "--n-max", str(MAX_BIVARIATE_N + 1), "--g-max", "0"
-        )
-        assert code == EXIT_USAGE and out == ""
-        assert f"limit {MAX_BIVARIATE_N}" in err
-
-    def test_the_bivariate_limit_leaves_other_tables_alone(self, capsys):
-        n = str(MAX_BIVARIATE_N + 1)
-        doc = run_json(capsys, "table", "cg", "--n-max", n, "--g-max", "0")
-        assert len(doc["payload"]["rows"]) == MAX_BIVARIATE_N + 2
-        doc = run_json(capsys, "table", "mm", "--sigma", "1", "--g", "0", "--n-max", n)
-        assert len(doc["payload"]["rows"]) == MAX_BIVARIATE_N + 2
+    def test_bivariate_tables_have_no_limit_but_the_rows(self, capsys, table_class):
+        doc = run_json(capsys, "table", table_class, "--n-max", "91", "--g-max", "0")
+        assert len(doc["payload"]["rows"]) == 92 * 92
 
     @pytest.mark.parametrize("suite", ["polys", "all"])
     def test_verify_g_max_past_the_pipeline_limit_is_refused(self, capsys, suite):
@@ -706,22 +720,42 @@ class TestVerify:
             " -- first counterexample g=1\n"
         ) in out
 
-    def test_corrupted_integer_rows_fail_the_inflation_witness(self, capsys, monkeypatch):
-        # shapes and refined diagrams share these rows, so only the composed
-        # witness on the other side of the inflation row can catch them
-        real = genfunc._refined_rows
+    def test_corrupted_y0_column_fails_the_inflation_witness(self, capsys, monkeypatch):
+        # shapes and refined diagrams share this column, so the inflation row
+        # holds only because its other side is the composed witness
+        real = genfunc._y0_column
 
-        def corrupted(counts, order_y):
-            grid = real(counts, order_y)
-            grid[3][1] += 1
-            return grid
+        def corrupted(counts):
+            column = real(counts)
+            column[3] += 1
+            return column
 
-        monkeypatch.setattr(genfunc, "_refined_rows", corrupted)
+        monkeypatch.setattr(genfunc, "_y0_column", corrupted)
         code, out, _ = run_cli(capsys, "verify", "shapes")
         assert code == EXIT_MISMATCH
         assert (
             "[FAIL] shapes: stack inflation carries shapes onto diagrams"
             " -- first counterexample g=0\n"
+        ) in out
+
+    def test_corrupted_shape_pde_step_fails_the_shape_oracle_row_only(
+        self, capsys, monkeypatch
+    ):
+        real = genfunc._shape_rows
+
+        def corrupted(counts, order_u):
+            grid = real(counts, order_u)
+            grid[4][1] += 1
+            return grid
+
+        monkeypatch.setattr(genfunc, "_shape_rows", corrupted)
+        code, out, _ = run_cli(capsys, "verify", "shapes")
+        assert code == EXIT_MISMATCH
+        assert (
+            "[FAIL] shapes: shape series equals oracle shape counts (n <= 5)"
+            " -- first counterexample s_0(4,1): series 1, oracle 0\n"
+            "[PASS] shapes: refined diagram series equals oracle counts (n <= 5)"
+            " -- all coefficients equal\n"
         ) in out
 
     def test_corrupted_genus_zero_oracle_is_reported_not_failed(self, capsys, monkeypatch):

@@ -1,11 +1,14 @@
 """Tests for generating functions, the polynomial pipeline, and fibers."""
 
+import json
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chordgenus import genfunc
+from chordgenus import cli, genfunc
 from chordgenus.bruteforce import (
     count_by_genus_onechords,
     count_macromolecular_multi,
@@ -42,6 +45,22 @@ from chordgenus.genfunc import (
 from chordgenus.recurrences import diagram_count_min_chords
 from chordgenus.series import BiSeries, Poly, Series, geometric_series
 from chordgenus.verify import GOLDEN_GENUS_POLYNOMIALS
+
+
+def difference_table_shape_rows(g, order_z, order_u):
+    """S_g(z, u) = C_g(z/(1+z), u) from the rows of C_g(x, y), by differences.
+
+    The route ``shape_bivariate_rows`` took before the shape PDE, kept as
+    its witness: row i >= 1 is the (i-1)-th forward difference of rows
+    1, 2, ... of C_g at their first entry, O(n^3) additions.
+    """
+    grid = genfunc.diagram_bivariate_rows(g, order_z, order_u)
+    out = [list(grid[0])]
+    diff = grid[1:]
+    while diff:
+        out.append(list(diff[0]))
+        diff = [[b - a for a, b in zip(lo, hi)] for lo, hi in zip(diff, diff[1:])]
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -235,6 +254,33 @@ class TestBivariate:
         for g in range(4):
             assert diagram_bivariate(g, *orders) == _diagram_bivariate_composed(g, *orders)
             assert shape_bivariate(g, *orders) == _shape_bivariate_composed(g, *orders)
+
+    @pytest.mark.parametrize(
+        "orders", [(40, 40), (40, 12), (12, 40), (91, 3), (0, 0), (3, 5), (8, 2), (11, 11)]
+    )
+    def test_shape_pde_rows_equal_the_difference_table(self, orders):
+        # (0, 0) .. (11, 11) put 2g past order_z for the higher genera
+        for g in range(7):
+            assert genfunc.shape_bivariate_rows(g, *orders) == difference_table_shape_rows(
+                g, *orders
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 8), st.integers(0, 24), st.integers(0, 24))
+    def test_shape_pde_rows_equal_the_difference_table_property(self, g, order_z, order_u):
+        assert genfunc.shape_bivariate_rows(g, order_z, order_u) == difference_table_shape_rows(
+            g, order_z, order_u
+        )
+
+    def test_shapes_table_past_the_former_bivariate_limit(self, capsys):
+        assert cli.main(["table", "shapes", "--n-max", "91", "--g-max", "0"]) == 0
+        rows = json.loads(capsys.readouterr().out)["payload"]["rows"]
+        expected = difference_table_shape_rows(0, 91, 91)
+        assert [(r["g"], r["n"], r["m"], r["count"]) for r in rows] == [
+            ("0", str(n), str(m), str(v))
+            for n, row in enumerate(expected)
+            for m, v in enumerate(row)
+        ]
 
     def test_rows_are_ints_on_the_requested_rectangle(self):
         for rows_of in (genfunc.diagram_bivariate_rows, genfunc.shape_bivariate_rows):
