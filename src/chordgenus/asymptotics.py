@@ -310,15 +310,6 @@ def empirical_growth_ratio(coeffs, n: int) -> Fraction:
 
 def diagram_growth_ratio(g: int, n: int) -> Fraction:
     """c_g(n) / c_g(n-1), the empirical counterpart of the growth base 4."""
-    if g == 0:
-        if n < 1:
-            raise ValueError("need n >= 1")
-        return Fraction(math.comb(2 * n, n) * n, math.comb(2 * n - 2, n - 1) * (n + 1))
-    if g <= 3:
-        coeffs = [0] * (n + 1)
-        for k in range(2 * g, n + 1):
-            coeffs[k] = diagram_count_closed_form(g, k)
-        return empirical_growth_ratio(coeffs, n)
     return empirical_growth_ratio(genus_series(g, n).coeffs, n)
 
 

@@ -6,7 +6,9 @@ the generating-function side is consulted.  Enumeration is deterministic
 two runs build identical tables.  A ``GenusTable`` holds its class tag, its
 chord range n_max, its entries, whether they carry the 1-chord index, and the
 genus range g_max (None here: an enumeration sees every genus).  The public
-streams wrap the arrays the enumerator built without validating them again.
+streams come lazily from ``_matchings``, one loop over an explicit stack, and
+wrap its arrays without validating them again.  Every oracle refuses an n past
+its fixed safety cap, ``DEFAULT_FULL_CAP`` or ``DEFAULT_PARTIAL_CAP``.
 
 The counting tables come from one depth-first search, ``_tabulate``, that
 serves full matchings (2n points) and partial matchings (n points).  It
@@ -38,15 +40,11 @@ DEFAULT_FULL_CAP = 8
 DEFAULT_PARTIAL_CAP = 14
 
 
-def _resolve_cap(n: int, cap: int | None, default: int, what: str) -> None:
+def _check_cap(n: int, limit: int, what: str) -> None:
     if n < 0:
         raise ValueError(f"{what} enumeration needs n >= 0, got {n}")
-    limit = default if cap is None else cap
     if n > limit:
-        raise ValueError(
-            f"{what} enumeration at n={n} exceeds the safety cap {limit}; "
-            f"library callers can raise it with the cap= keyword"
-        )
+        raise ValueError(f"{what} enumeration at n={n} exceeds the safety cap {limit}")
 
 
 def double_factorial_odd(n: int) -> int:
@@ -104,25 +102,40 @@ class GenusTable:
 
 
 def _matchings(length: int, partial: bool) -> Iterator[list[int]]:
+    # Depth-first over the lowest undecided vertex i.  Its options, in order,
+    # are i itself (left unmatched, partial only) and each free j > i; `lows`
+    # holds the decided vertices, partner[i] the option taken (-1 for i).
     partner = [-1] * length
-
-    def rec(i: int) -> Iterator[list[int]]:
+    lows: list[int] = []
+    i = 0
+    while True:
         while i < length and partner[i] >= 0:
             i += 1
-        if i == length:
+        if i < length:
+            j = i if partial else i + 1
+        else:
             yield partner
-            return
-        if partial:
-            yield from rec(i + 1)  # leave vertex i unmatched
-        for j in range(i + 1, length):
-            if partner[j] < 0:
-                partner[i] = j
-                partner[j] = i
-                yield from rec(i + 1)
-                partner[j] = -1
-        partner[i] = -1
-
-    yield from rec(0)
+            j = length  # every vertex is decided: backtrack
+        # take the first free option from j on, backtracking while there is none
+        while True:
+            while j < length and partner[j] >= 0:
+                j += 1
+            if j < length:
+                break
+            if not lows:
+                return
+            i = lows.pop()
+            j = partner[i]
+            if j < 0:
+                j = i
+            else:
+                partner[i] = partner[j] = -1
+            j += 1
+        if j > i:
+            partner[i] = j
+            partner[j] = i
+        lows.append(i)
+        i += 1
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +285,9 @@ def _tabulate(
     return counts
 
 
-def _full_entries(n_max: int, cap: int | None, shapes: bool) -> dict[tuple[int, ...], int]:
+def _full_entries(n_max: int, shapes: bool) -> dict[tuple[int, ...], int]:
     # (g, n, m) -> count over full diagrams (shapes only, if asked)
-    _resolve_cap(n_max, cap, DEFAULT_FULL_CAP, "full diagram")
+    _check_cap(n_max, DEFAULT_FULL_CAP, "full diagram")
     entries: dict[tuple[int, ...], int] = {}
     for n in range(n_max + 1):
         for (cycles, _k, m, _low), v in _tabulate(2 * n, shapes=shapes).items():
@@ -287,16 +300,16 @@ def _full_entries(n_max: int, cap: int | None, shapes: bool) -> dict[tuple[int, 
 # ---------------------------------------------------------------------------
 
 
-def enumerate_chord_diagrams(n: int, *, cap: int | None = None) -> Iterator[ChordDiagram]:
+def enumerate_chord_diagrams(n: int) -> Iterator[ChordDiagram]:
     """Every full diagram with n chords, each exactly once, in canonical order."""
-    _resolve_cap(n, cap, DEFAULT_FULL_CAP, "full diagram")
+    _check_cap(n, DEFAULT_FULL_CAP, "full diagram")
     for partner in _matchings(2 * n, False):
         yield ChordDiagram._trusted(tuple(partner))
 
 
-def enumerate_partial_diagrams(n: int, *, cap: int | None = None) -> Iterator[PartialDiagram]:
+def enumerate_partial_diagrams(n: int) -> Iterator[PartialDiagram]:
     """Every partial diagram on n backbone vertices, each exactly once."""
-    _resolve_cap(n, cap, DEFAULT_PARTIAL_CAP, "partial diagram")
+    _check_cap(n, DEFAULT_PARTIAL_CAP, "partial diagram")
     for partner in _matchings(n, True):
         yield PartialDiagram._trusted(tuple(partner))
 
@@ -306,41 +319,39 @@ def enumerate_partial_diagrams(n: int, *, cap: int | None = None) -> Iterator[Pa
 # ---------------------------------------------------------------------------
 
 
-def count_by_genus(n_max: int, *, cap: int | None = None) -> GenusTable:
+def count_by_genus(n_max: int) -> GenusTable:
     """c_g(n) for all n <= n_max by exhaustive genus evaluation."""
     entries: dict[tuple[int, ...], int] = {}
-    for (g, n, _m), v in _full_entries(n_max, cap, shapes=False).items():
+    for (g, n, _m), v in _full_entries(n_max, shapes=False).items():
         entries[(g, n)] = entries.get((g, n), 0) + v
     return GenusTable("full", n_max, entries)
 
 
-def count_by_genus_onechords(n_max: int, *, cap: int | None = None) -> GenusTable:
+def count_by_genus_onechords(n_max: int) -> GenusTable:
     """Joint counts c_g(n, m) over full diagrams, m the 1-chord number."""
-    entries = _full_entries(n_max, cap, shapes=False)
+    entries = _full_entries(n_max, shapes=False)
     return GenusTable("full", n_max, entries, with_onechords=True)
 
 
-def count_shapes(n_max: int, *, cap: int | None = None) -> GenusTable:
+def count_shapes(n_max: int) -> GenusTable:
     """Joint counts s_g(n, m) over shapes (every stack a single chord)."""
-    entries = _full_entries(n_max, cap, shapes=True)
+    entries = _full_entries(n_max, shapes=True)
     return GenusTable("shape", n_max, entries, with_onechords=True)
 
 
-def count_macromolecular(n_max: int, sigma: int, *, cap: int | None = None) -> GenusTable:
+def count_macromolecular(n_max: int, sigma: int) -> GenusTable:
     """d_{g,sigma}(n): partial diagrams, no 1-chords, all stacks >= sigma."""
     if sigma < 1:
         raise ValueError("sigma must be >= 1")
-    return count_macromolecular_multi(n_max, (sigma,), cap=cap)[sigma]
+    return count_macromolecular_multi(n_max, (sigma,))[sigma]
 
 
-def count_macromolecular_multi(
-    n_max: int, sigmas: Iterable[int], *, cap: int | None = None
-) -> dict[int, GenusTable]:
+def count_macromolecular_multi(n_max: int, sigmas: Iterable[int]) -> dict[int, GenusTable]:
     """One enumeration pass classifying for several sigma values at once."""
     sig = sorted(set(sigmas))
     if not sig or sig[0] < 1:
         raise ValueError("sigma values must be >= 1")
-    _resolve_cap(n_max, cap, DEFAULT_PARTIAL_CAP, "partial diagram")
+    _check_cap(n_max, DEFAULT_PARTIAL_CAP, "partial diagram")
     tables: dict[int, dict[tuple[int, ...], int]] = {s: {} for s in sig}
     for n in range(n_max + 1):
         tally = _tabulate(n, sigma_max=sig[-1])

@@ -5,6 +5,12 @@ in pairs by chords; a full diagram matches every vertex.  The boundary-cycle
 count of a full diagram with n chords is the number of cycles of tau o iota,
 where iota is the chord involution and tau is the cyclic successor on the
 2n vertices, and the genus g satisfies n + 1 - 2g = #cycles.
+
+A partial diagram is measured by its matched subdiagram (unmatched vertices
+deleted), but every query reads the partner array as it stands.  The boundary
+walk sends an unmatched vertex v to v+1, so from a matched w it goes to
+partner(w)+1 and over the unmatched run there to the next matched vertex,
+where tau o iota goes in the subdiagram: the cycles are the subdiagram's.
 """
 
 from __future__ import annotations
@@ -17,7 +23,8 @@ _UNMATCHED = -1
 
 
 def _cycle_count(partners: Sequence[int]) -> int:
-    # cycles of v -> (partners[v] + 1) mod L on 0-indexed vertices
+    # cycles of v -> (partners[v] + 1) mod L on 0-indexed vertices, an
+    # unmatched vertex standing in for its own partner
     length = len(partners)
     if length == 0:
         return 1  # the empty diagram bounds a single face
@@ -31,6 +38,8 @@ def _cycle_count(partners: Sequence[int]) -> int:
         while not seen[v]:
             seen[v] = 1
             w = partners[v] + 1
+            if not w:  # unmatched
+                w = v + 1
             v = w if w < length else 0
     return cycles
 
@@ -43,18 +52,18 @@ def _is_shape_partner(partners: Sequence[int]) -> bool:
     return True
 
 
-def _min_stack_size(partners: Sequence[int]) -> int | None:
-    # smallest stack, walked from each outermost chord; None without chords
-    best: int | None = None
+def _stacks(partners: Sequence[int]) -> dict[int, int]:
+    # left end of each stack's outermost chord -> the stack's chord count,
+    # walked inward from that chord; keys ascend
+    out = {}
     for i, j in enumerate(partners):
         if j <= i or (i and partners[i - 1] == j + 1):
             continue  # not a chord's left end, or not outermost in its stack
-        size, a, b = 1, i, j
-        while b - a > 2 and partners[a + 1] == b - 1:
-            size, a, b = size + 1, a + 1, b - 1
-        if best is None or size < best:
-            best = size
-    return best
+        size = 1
+        while j - i > 2 * size and partners[i + size] == j - size:
+            size += 1
+        out[i] = size
+    return out
 
 
 def _validate_partners(partners: Sequence[int], allow_unmatched: bool) -> None:
@@ -78,6 +87,8 @@ def _validate_partners(partners: Sequence[int], allow_unmatched: bool) -> None:
 
 def _partners_from_pairs(length: int, pairs: Iterable[Pair]) -> list[int]:
     # 0-indexed partner array of 1-indexed chords on `length` vertices
+    if length < 0:
+        raise ValueError(f"vertex count must be >= 0, got {length}")
     partners = [_UNMATCHED] * length
     for i, j in pairs:
         for v in (i, j):
@@ -98,20 +109,6 @@ def _genus_of(chords: int, cycles: int) -> int:
     if num % 2:
         raise ArithmeticError(f"parity violation: {chords} chords, {cycles} cycles")
     return num // 2
-
-
-def _stacks_of_pairs(pairs: Iterable[Pair]) -> list[list[Pair]]:
-    chord_set = set(pairs)
-    out = []
-    for i, j in sorted(chord_set):
-        if (i - 1, j + 1) in chord_set:
-            continue  # not the outermost chord of its stack
-        stack = [(i, j)]
-        while (i + 1, j - 1) in chord_set and i + 1 < j - 1:
-            i, j = i + 1, j - 1
-            stack.append((i, j))
-        out.append(stack)
-    return out
 
 
 class _Diagram:
@@ -176,8 +173,42 @@ class _Diagram:
         """Chords joining neighbouring vertices."""
         return sum(1 for v, p in enumerate(self.partners) if p == v + 1)
 
+    def boundary_cycles(self) -> int:
+        """Boundary cycles of the matched subdiagram (1 without chords)."""
+        return _cycle_count(self.partners)
+
+    def genus(self) -> int:
+        """Genus of the matched subdiagram."""
+        p = self.partners
+        return _genus_of((len(p) - p.count(_UNMATCHED)) // 2, _cycle_count(p))
+
     def stacks(self) -> list[list[Pair]]:
-        return _stacks_of_pairs(self.pairs())
+        """Maximal runs of chords (i, j), (i+1, j-1), ..., outermost first."""
+        # a stack's left ends are consecutive vertices, so its chords are
+        # consecutive in pairs(), and the stacks come in the same order
+        pairs = self.pairs()
+        out, r = [], 0
+        for size in _stacks(self.partners).values():
+            out.append(pairs[r : r + size])
+            r += size
+        return out
+
+    def project_shape(self) -> "ChordDiagram":
+        """Delete unmatched vertices and collapse every stack to one chord.
+
+        Collapsing can bring previously separated chords next to each other,
+        so the pass repeats until it drops nothing and the result is a shape.
+        """
+        p = self.partners
+        while True:
+            # the ends of each stack's outermost chord (unmatched ones lie in none)
+            kept = sorted(v for i in _stacks(p) for v in (i, p[i]))
+            if len(kept) == len(p):
+                return ChordDiagram._trusted(p)
+            rank = [_UNMATCHED] * len(p)
+            for new, v in enumerate(kept):
+                rank[v] = new
+            p = tuple(rank[p[v]] for v in kept)
 
     def to_text(self) -> str:
         body = ",".join(str(p + 1) for p in self.partners)  # -1 (unmatched) -> 0
@@ -212,21 +243,12 @@ class ChordDiagram(_Diagram):
         """Number of chords."""
         return len(self.partners) // 2
 
-    def boundary_cycles(self) -> int:
-        return _cycle_count(self.partners)
-
-    def genus(self) -> int:
-        return _genus_of(self.n, self.boundary_cycles())
-
     def is_shape(self) -> bool:
         """True when every stack has a single chord."""
         return _is_shape_partner(self.partners)
 
     def to_partial(self) -> "PartialDiagram":
         return PartialDiagram(self.partners)
-
-    def project_shape(self) -> "ChordDiagram":
-        return self.to_partial().project_shape()
 
 
 class PartialDiagram(_Diagram):
@@ -238,7 +260,7 @@ class PartialDiagram(_Diagram):
 
     @classmethod
     def empty(cls, n: int = 0) -> "PartialDiagram":
-        return cls((_UNMATCHED,) * n)
+        return cls.from_pairs(n, ())
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[Pair]) -> "PartialDiagram":
@@ -249,21 +271,10 @@ class PartialDiagram(_Diagram):
         """Number of backbone vertices."""
         return len(self.partners)
 
-    def matched_subdiagram(self) -> ChordDiagram:
-        """Delete unmatched vertices and renumber the rest."""
-        kept = [v for v, p in enumerate(self.partners) if p != _UNMATCHED]
-        rank = {v: i for i, v in enumerate(kept)}
-        return ChordDiagram(tuple(rank[self.partners[v]] for v in kept))
-
-    def genus(self) -> int:
-        return self.matched_subdiagram().genus()
-
-    def boundary_cycles(self) -> int:
-        return self.matched_subdiagram().boundary_cycles()
-
     def min_stack_size(self) -> int | None:
         """Size of the smallest stack, None when there are no chords."""
-        return _min_stack_size(self.partners)
+        sizes = _stacks(self.partners).values()
+        return min(sizes) if sizes else None
 
     def is_macromolecular(self, sigma: int) -> bool:
         """No chord on adjacent vertices, and every stack holds >= sigma chords."""
@@ -273,20 +284,3 @@ class PartialDiagram(_Diagram):
             return False
         smallest = self.min_stack_size()
         return smallest is None or smallest >= sigma
-
-    def project_shape(self) -> ChordDiagram:
-        """Delete unmatched vertices and collapse every stack to one chord.
-
-        Collapsing can bring previously separated chords next to each other,
-        so the pass repeats until the result is a shape.
-        """
-        pairs = self.pairs()
-        while True:
-            # renumber onto the matched vertices only
-            verts = sorted(v for pair in pairs for v in pair)
-            rank = {v: i + 1 for i, v in enumerate(verts)}
-            pairs = [(rank[i], rank[j]) for i, j in pairs]
-            groups = _stacks_of_pairs(pairs)
-            if all(len(s) == 1 for s in groups):
-                return ChordDiagram.from_pairs(sorted(pairs))
-            pairs = [group[0] for group in groups]

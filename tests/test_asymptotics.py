@@ -1,5 +1,6 @@
 """Tests for interval arithmetic, root isolation, and growth constants."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from chordgenus.asymptotics import (
     sqrt_interval,
     sturm_chain,
 )
+from chordgenus.recurrences import diagram_count_closed_form
 from chordgenus.series import Poly
 
 
@@ -344,6 +346,17 @@ class TestEmpiricalRatios:
     def test_genus_one_ratio_near_four(self):
         r = diagram_growth_ratio(1, 400)
         assert abs(r - 4) <= Fraction(4, 100)
+
+    def test_diagram_ratio_matches_closed_forms(self):
+        # the ratio reads the recursion row; Catalan numbers and the g <= 3
+        # closed forms are its witnesses
+        def closed(g, n):
+            return math.comb(2 * n, n) // (n + 1) if g == 0 else diagram_count_closed_form(g, n)
+
+        for g in range(4):
+            for n in [*range(2 * g + 1, 30), 400]:
+                want = Fraction(closed(g, n), closed(g, n - 1))
+                assert diagram_growth_ratio(g, n) == want, (g, n)
 
     def test_macromolecular_ratio_matches_growth_rate(self):
         r = macromolecular_growth_ratio(1, 1, 300)

@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 
 import pytest
@@ -40,8 +41,6 @@ def test_caps_guard_large_inputs():
         count_by_genus(DEFAULT_FULL_CAP + 1)
     with pytest.raises(ValueError):
         next(enumerate_partial_diagrams(DEFAULT_PARTIAL_CAP + 1))
-    # explicit cap raises the limit
-    assert count_by_genus(3, cap=3).total(3) == 15
 
 
 def test_counts_by_genus_small():
@@ -178,3 +177,62 @@ def test_streamed_diagrams_pass_validation():
             for d in diagrams:
                 assert type(d) is cls and type(d.partners) is tuple
                 _validate_partners(d.partners, allow_unmatched=partial)
+
+
+def witness_matchings(length, partial):
+    # the recursive enumerator the explicit-stack loop replaced
+    partner = [-1] * length
+
+    def rec(i):
+        while i < length and partner[i] >= 0:
+            i += 1
+        if i == length:
+            yield tuple(partner)
+            return
+        if partial:
+            yield from rec(i + 1)  # leave vertex i unmatched
+        for j in range(i + 1, length):
+            if partner[j] < 0:
+                partner[i] = j
+                partner[j] = i
+                yield from rec(i + 1)
+                partner[j] = -1
+        partner[i] = -1
+
+    yield from rec(0)
+
+
+def test_streams_follow_the_recursive_order():
+    for n in range(7):
+        streamed = [d.partners for d in enumerate_chord_diagrams(n)]
+        assert streamed == list(witness_matchings(2 * n, False))
+    for n in range(11):
+        streamed = [d.partners for d in enumerate_partial_diagrams(n)]
+        assert streamed == list(witness_matchings(n, True))
+
+
+def test_streams_are_lazy():
+    # the first diagram comes after a few dozen trace events, not after a
+    # walk over the 2 million partial matchings of 14 points
+    events = 0
+
+    def count(frame, event, arg):
+        nonlocal events
+        events += 1
+        return count
+
+    for stream, n, first in (
+        (enumerate_partial_diagrams, DEFAULT_PARTIAL_CAP, PartialDiagram.empty(DEFAULT_PARTIAL_CAP)),
+        (enumerate_chord_diagrams, DEFAULT_FULL_CAP,
+         ChordDiagram.from_pairs([(2 * k + 1, 2 * k + 2) for k in range(DEFAULT_FULL_CAP)])),
+    ):
+        it = stream(n)
+        events = 0
+        previous = sys.gettrace()
+        sys.settrace(count)
+        try:
+            d = next(it)
+        finally:
+            sys.settrace(previous)
+        assert d == first
+        assert events < 1000

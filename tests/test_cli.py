@@ -118,11 +118,12 @@ class TestTable:
         assert code == EXIT_USAGE and out == ""
         assert "--g applies to table mm only" in err
 
-    def test_oracle_cap_message_names_the_library_keyword(self, capsys):
+    def test_oracle_cap_message_states_the_cap(self, capsys):
         code, _, err = run_cli(capsys, "table", "mm", "--sigma", "1", "--n-max", "15",
                                "--source", "oracle")
         assert code == EXIT_USAGE
-        assert "safety cap 14" in err and "cap= keyword" in err
+        assert "partial diagram enumeration at n=15 exceeds the safety cap 14" in err
+        assert "cap=" not in err
 
     def test_joint_table_sources_agree(self, capsys):
         a = run_json(capsys, "table", "cg-m", "--n-max", "4", "--source", "formula")

@@ -49,6 +49,10 @@ def test_validation_rejects_bad_input():
         ChordDiagram([2, 0, 3, 1])  # not an involution
     with pytest.raises(ValueError):
         ChordDiagram.from_pairs([(1, 2), (2, 3)])  # vertex reused
+    with pytest.raises(ValueError, match="vertex count must be >= 0"):
+        PartialDiagram.empty(-1)
+    with pytest.raises(ValueError, match="vertex count must be >= 0"):
+        PartialDiagram.from_pairs(-2, [])
 
 
 def test_text_round_trip():
@@ -195,16 +199,105 @@ def partner_arrays(draw, max_vertices=14):
     return partners
 
 
+# ---------------------------------------------------------------------------
+# witnesses: the routes the partner-array walks replaced, kept here to check
+# them against.  They work on 1-indexed pair lists and a renumbered copy.
+# ---------------------------------------------------------------------------
+
+
+def witness_stacks(pairs):
+    # stacks walked on a set of pairs, outermost chord first
+    chord_set = set(pairs)
+    out = []
+    for i, j in sorted(chord_set):
+        if (i - 1, j + 1) in chord_set:
+            continue  # not the outermost chord of its stack
+        stack = [(i, j)]
+        while (i + 1, j - 1) in chord_set and i + 1 < j - 1:
+            i, j = i + 1, j - 1
+            stack.append((i, j))
+        out.append(stack)
+    return out
+
+
+def witness_matched_subdiagram(partners):
+    # delete the unmatched vertices and renumber the rest
+    kept = [v for v, p in enumerate(partners) if p != -1]
+    rank = {v: i for i, v in enumerate(kept)}
+    return ChordDiagram(tuple(rank[partners[v]] for v in kept))
+
+
+def witness_boundary_cycles(partners):
+    # cycles of tau o iota on the renumbered full diagram
+    full = witness_matched_subdiagram(partners).partners
+    length = len(full)
+    seen = [False] * length
+    cycles = 0
+    for start in range(length):
+        if not seen[start]:
+            cycles += 1
+            v = start
+            while not seen[v]:
+                seen[v] = True
+                v = (full[v] + 1) % length
+    return max(cycles, 1)  # the empty diagram bounds one face
+
+
+def witness_genus(partners):
+    chords = witness_matched_subdiagram(partners).n
+    return (chords + 1 - witness_boundary_cycles(partners)) // 2
+
+
+def witness_project_shape(partners):
+    # renumber, collapse each stack to its outermost chord, repeat
+    pairs = [(v + 1, p + 1) for v, p in enumerate(partners) if p > v]
+    while True:
+        verts = sorted(v for pair in pairs for v in pair)
+        rank = {v: i + 1 for i, v in enumerate(verts)}
+        pairs = [(rank[i], rank[j]) for i, j in pairs]
+        groups = witness_stacks(pairs)
+        if all(len(s) == 1 for s in groups):
+            return ChordDiagram.from_pairs(sorted(pairs))
+        pairs = [group[0] for group in groups]
+
+
+def assert_matches_witnesses(d):
+    p = d.partners
+    stacks = witness_stacks(d.pairs())
+    assert d.stacks() == stacks
+    assert d.boundary_cycles() == witness_boundary_cycles(p)
+    assert d.genus() == witness_genus(p)
+    assert d.project_shape() == witness_project_shape(p)
+    smallest = min((len(s) for s in stacks), default=None)
+    if isinstance(d, ChordDiagram):
+        assert d.is_shape() == all(len(s) == 1 for s in stacks)
+        assert d.to_partial().min_stack_size() == smallest
+    else:
+        assert d.min_stack_size() == smallest
+
+
+def test_partial_diagrams_match_witnesses_exhaustively():
+    from chordgenus.bruteforce import enumerate_partial_diagrams
+
+    for n in range(11):
+        for d in enumerate_partial_diagrams(n):
+            assert_matches_witnesses(d)
+
+
+def test_full_diagrams_match_witnesses_exhaustively():
+    from chordgenus.bruteforce import enumerate_chord_diagrams
+
+    for n in range(7):
+        for d in enumerate_chord_diagrams(n):
+            assert_matches_witnesses(d)
+
+
 @settings(max_examples=300, deadline=None)
 @given(partner_arrays())
 def test_partner_scans_agree_with_stacks(partners):
-    d = PartialDiagram(partners)
-    sizes = [len(s) for s in d.stacks()]
-    assert d.min_stack_size() == (min(sizes) if sizes else None)
+    assert_matches_witnesses(PartialDiagram(partners))
     if -1 not in partners:
-        full = ChordDiagram(partners)
-        assert full.is_shape() == all(len(s) == 1 for s in full.stacks())
-        assert full.to_partial().min_stack_size() == d.min_stack_size()
+        assert_matches_witnesses(ChordDiagram(partners))
 
 
 PINNED_NAMES = {ChordDiagram: "ChordDiagram", PartialDiagram: "PartialDiagram"}
