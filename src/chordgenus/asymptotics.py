@@ -81,9 +81,9 @@ def bracket_sqrt(x: Fraction, width: Fraction = DEFAULT_WIDTH) -> RationalInterv
     return RationalInterval(top * m / 2 ** k, top * (m + 1) / 2 ** k)
 
 
-def sqrt_interval(iv: RationalInterval, width: Fraction = DEFAULT_WIDTH) -> RationalInterval:
+def sqrt_interval(iv: RationalInterval) -> RationalInterval:
     """An interval containing sqrt of every point of a nonnegative interval."""
-    return RationalInterval(bracket_sqrt(iv.lo, width).lo, bracket_sqrt(iv.hi, width).hi)
+    return RationalInterval(bracket_sqrt(iv.lo).lo, bracket_sqrt(iv.hi).hi)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +102,7 @@ class AsymptoticEstimate:
     constant_interval: RationalInterval
 
 
-def leading_constant(g: int, width: Fraction = DEFAULT_WIDTH) -> AsymptoticEstimate:
+def leading_constant(g: int) -> AsymptoticEstimate:
     """The exact leading coefficient of the genus-g growth law.
 
     The half-integer gamma value folds into factorials:
@@ -116,7 +116,7 @@ def leading_constant(g: int, width: Fraction = DEFAULT_WIDTH) -> AsymptoticEstim
         * math.factorial(3 * g - 1)
         / math.factorial(6 * g - 2)
     )
-    root_pi = sqrt_interval(RationalInterval(PI_LO, PI_HI), width)
+    root_pi = sqrt_interval(RationalInterval(PI_LO, PI_HI))
     interval = RationalInterval(k / root_pi.hi, k / root_pi.lo)
     return AsymptoticEstimate(
         g=g,
@@ -133,23 +133,21 @@ def _count(g: int, n: int) -> int:
     return diagram_count(g, n)
 
 
-def asymptotic_ratio_interval(
-    g: int, n: int, width: Fraction = DEFAULT_WIDTH
-) -> RationalInterval:
+def asymptotic_ratio_interval(g: int, n: int) -> RationalInterval:
     """Bounds on (c_g(n) / (n^(3g-3/2) 4^n)) / (K_g / sqrt(pi)).
 
     The half-integer power of n and sqrt(pi) both disappear after squaring,
     so the squared ratio is exact and only the final square root widens the
-    answer, by at most ``width`` on each side.
+    answer, by at most ``DEFAULT_WIDTH`` on each side.
     """
-    est = leading_constant(g, width)
+    est = leading_constant(g)
     c = Fraction(_count(g, n))
     ratio_sq = c * c / (Fraction(n) ** (6 * g - 3) * Fraction(16) ** n)
     rel_sq = RationalInterval(
         ratio_sq * PI_LO / est.rational_factor ** 2,
         ratio_sq * PI_HI / est.rational_factor ** 2,
     )
-    return sqrt_interval(rel_sq, width)
+    return sqrt_interval(rel_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -209,19 +207,16 @@ class RootIsolation:
         return self.interval().reciprocal()
 
 
-def smallest_positive_root(
-    p: Poly, width: Fraction = DEFAULT_WIDTH, search_to: Fraction = Fraction(2)
-) -> RootIsolation:
+def smallest_positive_root(p: Poly) -> RootIsolation:
     """Isolate the smallest positive root of p, certified by a Sturm chain.
 
     With V(x) the sign variations of the chain at x, V(0) - V(x) counts the
-    distinct roots in (0, x].  A binary search on that count over the grid
-    points k/1024 <= search_to finds the first cell (lo, hi] that holds a
-    root; a cell holding several is halved by the same count, keeping the
-    lower half whenever it holds a root, until one root is left.  Bisection
-    on the square-free part (the chain's head, whose roots are those of p,
-    each simple) then narrows the bracket below ``width``.  A root hit
-    exactly on hi or on a bisection midpoint is returned with zero width.
+    distinct roots in (0, x].  Bisection of (0, 2] by that count keeps the
+    lower half whenever it holds a root, until the cell (lo, hi] is at most
+    1/1024 wide and holds one root.  Bisection on the square-free part (the
+    chain's head, whose roots are those of p, each simple) then narrows the
+    bracket below ``DEFAULT_WIDTH``.  A root hit exactly on hi or on a
+    bisection midpoint is returned with zero width.
     """
     if p.is_zero() or p.degree < 1:
         raise ValueError("need a nonconstant polynomial")
@@ -229,22 +224,12 @@ def smallest_positive_root(
         raise ValueError("polynomial vanishes at 0; divide out the power of z first")
     chain = sturm_chain(p)
     step = Fraction(1, 1024)
-    v0 = _signs_at(chain, Fraction(0))
-    k_lo, k_hi = 0, math.floor(search_to / step)
-    v_hi = _signs_at(chain, k_hi * step)
+    lo, hi = Fraction(0), Fraction(2)
+    v0, v_hi = _signs_at(chain, lo), _signs_at(chain, hi)
     if v_hi == v0:
-        raise ArithmeticError(f"no root in (0, {k_hi * step}]")
-    # no root in (0, k_lo*step], at least one in (k_lo*step, k_hi*step]
-    while k_hi - k_lo > 1:
-        k = (k_lo + k_hi) // 2
-        v = _signs_at(chain, k * step)
-        if v == v0:
-            k_lo = k
-        else:
-            k_hi, v_hi = k, v
-    lo, hi = k_lo * step, k_hi * step
-    # halve a cell holding several roots, keeping the lower half if it holds one
-    while v0 - v_hi > 1:
+        raise ArithmeticError(f"no root in (0, {hi}]")
+    # no root in (0, lo], at least one in (lo, hi]
+    while v0 - v_hi > 1 or hi - lo > step:
         mid = (lo + hi) / 2
         v = _signs_at(chain, mid)
         if v == v0:
@@ -256,7 +241,7 @@ def smallest_positive_root(
     if fhi == 0:
         return RootIsolation(p, hi, hi, exact=True)
     flo = sf(lo)
-    while hi - lo > width:
+    while hi - lo > DEFAULT_WIDTH:
         mid = (lo + hi) / 2
         fmid = sf(mid)
         if fmid == 0:
@@ -281,16 +266,14 @@ def singularity_polynomial(sigma: int) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def dominant_singularity(sigma: int, width: Fraction = DEFAULT_WIDTH) -> RootIsolation:
+def dominant_singularity(sigma: int) -> RootIsolation:
     """The dominant singularity rho_sigma of the macromolecular series."""
-    return smallest_positive_root(singularity_polynomial(sigma), width)
+    return smallest_positive_root(singularity_polynomial(sigma))
 
 
-def macromolecular_growth_interval(
-    sigma: int, width: Fraction = DEFAULT_WIDTH
-) -> RationalInterval:
+def macromolecular_growth_interval(sigma: int) -> RationalInterval:
     """Bounds on the exponential growth rate 1/rho_sigma."""
-    return dominant_singularity(sigma, width).reciprocal_interval()
+    return dominant_singularity(sigma).reciprocal_interval()
 
 
 # ---------------------------------------------------------------------------

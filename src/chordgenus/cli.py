@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import operator
@@ -48,8 +49,10 @@ MAX_TABLE_ROWS = 300_000
 # takes 0.6 s, 30 1.6 s, 40 3.7 s, 60 12 s.
 MAX_SIGMA = 40
 # Largest n of the boundary polynomials p(n, x) (``poly hz --n``, ``verify
-# hz --n-max``): n 60 takes 0.6 s, 80 1.1 s and 1.9 s with the exp/log
-# witness of verify; the polynomials alone take 1.7-2.0 s at n 100.
+# hz --n-max``).  The recursion rows take 0.05 s at n 80 in-process; the
+# bound is held by verify's exp/log witness, 0.35 s at n 60 and 0.9-1.0 s
+# at 80 in-process (``verify hz --n-max 80`` 0.8-1.2 s in a fresh process,
+# 2-core host).
 MAX_HZ_N = 80
 
 EXIT_OK = 0
@@ -427,7 +430,9 @@ def cmd_verify(args, stream) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="chordgenus",
         description="Exact enumeration of chord diagrams, shapes, and "
@@ -497,8 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code = args.func(args, sys.stdout)
         sys.stdout.flush()

@@ -16,8 +16,11 @@ the boundary-component polynomials p(n, x) with
 
     1 + 2 sum_{n>=0} p(n, x) z^{n+1} = ((1+z)/(1-z))^x ,
 
-built twice: from the additive recursion and, independently, from the series
-exponential of x log((1+z)/(1-z)).
+so that (2n-1)!! p(n, N) = sum_g c_g(n) N^(n+1-2g) (Harer and Zagier, 1986).
+They are built twice: from the additive recursion, which in the binomial
+basis C(x, k) is one integer step per row and solves to the closed form
+p(n, x) = sum_k 2^(k-1) C(n, k-1) C(x, k), and, independently, from the
+series exponential of x log((1+z)/(1-z)).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bruteforce import GenusTable, double_factorial_odd
-from .series import BiSeries, Poly, Series, exp_series
+from .series import BiSeries, Poly, Series, _list_mul, exp_series
 
 
 def diagram_count_rows(g_max: int, n_max: int) -> list[list[int]]:
@@ -138,34 +141,31 @@ class BoundaryPolyTable:
         return self.rows[n](x)
 
 
-def _antidifference(q: Poly) -> Poly:
-    """The polynomial P with P(x) - P(x-1) = q(x) and P(0) = 0."""
-    if q.is_zero():
-        return Poly.zero()
-    d = q.degree
-    a = [Fraction(0)] * (d + 2)
-    for j in range(d, -1, -1):
-        acc = q.coeff(j)
-        for k in range(j + 2, d + 2):
-            sign = 1 if (k - j + 1) % 2 == 0 else -1
-            acc -= a[k] * math.comb(k, j) * sign
-        a[j + 1] = acc / (j + 1)
-    return Poly(a)
-
-
 def boundary_polynomials(n_max: int) -> BoundaryPolyTable:
     """p(n, x) from the recursion p(n,x) = p(n,x-1) + p(n-1,x) + p(n-1,x-1).
 
-    The recursion pins p(n, x) only once p(n, 0) = 0 is imposed; solving it
-    in polynomial space is an exact antidifference.
+    In the binomial basis p(n, x) = sum_k b_n[k] C(x, k) the difference in x
+    is an index shift, C(x, k) - C(x-1, k) = C(x-1, k-1), so with p(n, 0) = 0
+    the recursion is the integer step b_n[k] = b_{n-1}[k] + 2 b_{n-1}[k-1]
+    from b_0 = [0, 1], O(n) additions per row.  Each row goes to monomials
+    once: sum_k b_n[k] (n+1)!/k! x(x-1)...(x-k+1) in integers, over (n+1)!.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    rows = [Poly([0, 1])]
-    for n in range(1, n_max + 1):
-        prev = rows[n - 1]
-        rhs = prev + prev.substitute(-1, 1)  # p(n-1, x) + p(n-1, x-1)
-        rows.append(_antidifference(rhs))
+    falling = [[1]]  # x(x-1)...(x-k+1), lowest degree first
+    for k in range(1, n_max + 2):
+        falling.append(_list_mul(falling[-1], [1 - k, 1], k))
+    b, rows = [0, 1], []
+    for n in range(n_max + 1):
+        if n:
+            b = [0] + [x + 2 * y for x, y in zip(b[1:] + [0], b)]
+        den = math.factorial(n + 1)
+        num = [0] * (n + 2)
+        for k, bk in enumerate(b):
+            scale = bk * (den // math.factorial(k))
+            for j, c in enumerate(falling[k]):
+                num[j] += scale * c
+        rows.append(Poly(Fraction(c, den) for c in num))
     return BoundaryPolyTable(tuple(rows))
 
 

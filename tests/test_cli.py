@@ -27,7 +27,7 @@ from chordgenus.cli import (
     ORDER_CAP,
     main,
 )
-from chordgenus.series import BiSeries, Series
+from chordgenus.series import BiSeries, Poly, Series
 
 
 def run_cli(capsys, *argv):
@@ -759,6 +759,23 @@ class TestVerify:
             " -- all coefficients equal\n"
         ) in out
 
+    def test_corrupted_boundary_row_fails_the_exp_log_witness(self, capsys, monkeypatch):
+        real = recurrences.boundary_polynomials
+
+        def corrupted(n_max):
+            rows = list(real(n_max).rows)
+            rows[1] = rows[1] + Poly([0, 1])  # x^2 + x; the truth is x^2
+            return recurrences.BoundaryPolyTable(tuple(rows))
+
+        monkeypatch.setattr(recurrences, "boundary_polynomials", corrupted)
+        code, out, _ = run_cli(capsys, "verify", "hz")
+        assert code == EXIT_MISMATCH
+        assert (
+            "[FAIL] hz: boundary polynomials: recursion equals exp/log route (n <= 10)"
+            " -- first counterexample n=1: (Fraction(0, 1), Fraction(1, 1), Fraction(1, 1))"
+            " vs (Fraction(0, 1), Fraction(0, 1), Fraction(1, 1))\n"
+        ) in out
+
     def test_corrupted_genus_zero_oracle_is_reported_not_failed(self, capsys, monkeypatch):
         real = bruteforce.count_macromolecular_multi
 
@@ -800,6 +817,25 @@ class TestPlumbing:
             return isinstance(node, str)
 
         assert only_strings(doc["payload"])
+
+    def test_the_parser_is_built_once_and_parsing_leaves_it_unchanged(self):
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        assert parser.parse_args(["verify", "mm", "--sigma", "1"]).sigma_list == [1]
+        assert parser.parse_args(["verify", "mm"]).sigma_list is None
+
+    def test_consecutive_calls_share_no_state(self, capsys):
+        argv = ("verify", "mm", "--n-max", "4")
+        code, plain, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK and "sigma=2" in plain
+        for sigmas in (("1",), ("1", "1"), ("2", "1")):
+            flags = [f for sigma in sigmas for f in ("--sigma", sigma)]
+            code, restricted, _ = run_cli(capsys, *argv, *flags)
+            assert code == EXIT_OK and restricted != plain
+            # the appended --sigma list does not carry over to the next call
+            assert run_cli(capsys, *argv) == (EXIT_OK, plain, "")
+        code, one, _ = run_cli(capsys, *argv, "--sigma", "1")
+        assert "sigma=2" not in one
 
     def test_no_command_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -145,6 +146,42 @@ def test_boundary_polys_degree_and_normalization():
     for n in range(10):
         assert t.poly(n).degree == n + 1
         assert t.poly(n)(0) == 0
+
+
+def antidifference_rows(n_max):
+    # boundary_polynomials as it ran before the binomial basis: row n is the
+    # antidifference P(x) - P(x-1) = p(n-1, x) + p(n-1, x-1) with P(0) = 0,
+    # solved coefficient by coefficient over Fractions
+    rows = [Poly([0, 1])]
+    for _ in range(n_max):
+        q = rows[-1] + rows[-1].substitute(-1, 1)
+        d = q.degree
+        a = [Fraction(0)] * (d + 2)
+        for j in range(d, -1, -1):
+            acc = q.coeff(j)
+            for k in range(j + 2, d + 2):
+                acc -= a[k] * math.comb(k, j) * (-1) ** (k - j + 1)
+            a[j + 1] = acc / (j + 1)
+        rows.append(Poly(a))
+    return tuple(rows)
+
+
+def test_binomial_step_equals_the_antidifference_route():
+    assert boundary_polynomials(40).rows == antidifference_rows(40)
+    for n in (0, 1, 2, 5):
+        assert boundary_polynomials(n).rows == antidifference_rows(n)
+
+
+def test_boundary_polys_give_every_count_at_fixed_n():
+    # (2n-1)!! p(n, x) = sum_g c_g(n) x^(n+1-2g), read coefficient by
+    # coefficient: one row gives every genus at its n
+    counts = diagram_count_rows(40, 80)
+    table = boundary_polynomials(80)
+    for n in range(81):
+        want = [0] * (n + 2)
+        for g in range(n // 2 + 1):
+            want[n + 1 - 2 * g] = counts[g][n]
+        assert list(table.poly(n).scale(double_factorial_odd(n)).coeffs) == want
 
 
 def test_independent_route_agrees():
