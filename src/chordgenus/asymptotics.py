@@ -177,7 +177,7 @@ def sturm_chain(p: Poly) -> list[Poly]:
         if not rem.is_zero():
             raise ArithmeticError("gcd did not divide its polynomial")
     chain = [sf, sf.derivative()]
-    while chain[-1].degree >= 0 and not chain[-1].is_zero():
+    while not chain[-1].is_zero():
         _, rem = poly_divmod(chain[-2], chain[-1])
         if rem.is_zero():
             break
@@ -212,24 +212,23 @@ def smallest_positive_root(p: Poly) -> RootIsolation:
 
     With V(x) the sign variations of the chain at x, V(0) - V(x) counts the
     distinct roots in (0, x].  Bisection of (0, 2] by that count keeps the
-    lower half whenever it holds a root, until the cell (lo, hi] is at most
-    1/1024 wide and holds one root.  Bisection on the square-free part (the
-    chain's head, whose roots are those of p, each simple) then narrows the
-    bracket below ``DEFAULT_WIDTH``.  A root hit exactly on hi or on a
-    bisection midpoint is returned with zero width.
+    lower half whenever it holds a root, until the cell (lo, hi] holds one
+    root; bisection on the square-free part (the chain's head, whose roots
+    are those of p, each simple) halves the same dyadic cells from there
+    until the bracket is below ``DEFAULT_WIDTH``.  A root hit exactly on hi
+    or on a bisection midpoint is returned with zero width.
     """
     if p.is_zero() or p.degree < 1:
         raise ValueError("need a nonconstant polynomial")
     if p(Fraction(0)) == 0:
         raise ValueError("polynomial vanishes at 0; divide out the power of z first")
     chain = sturm_chain(p)
-    step = Fraction(1, 1024)
     lo, hi = Fraction(0), Fraction(2)
     v0, v_hi = _signs_at(chain, lo), _signs_at(chain, hi)
     if v_hi == v0:
         raise ArithmeticError(f"no root in (0, {hi}]")
     # no root in (0, lo], at least one in (lo, hi]
-    while v0 - v_hi > 1 or hi - lo > step:
+    while v0 - v_hi > 1:
         mid = (lo + hi) / 2
         v = _signs_at(chain, mid)
         if v == v0:
@@ -237,8 +236,7 @@ def smallest_positive_root(p: Poly) -> RootIsolation:
         else:
             hi, v_hi = mid, v
     sf = chain[0]
-    fhi = sf(hi)
-    if fhi == 0:
+    if sf(hi) == 0:
         return RootIsolation(p, hi, hi, exact=True)
     flo = sf(lo)
     while hi - lo > DEFAULT_WIDTH:

@@ -29,7 +29,7 @@ ORDER_CAP = 1000
 # Largest genus a request may push through the P_g pipeline.  Building
 # P_1..P_g cold takes 0.3 s at g = 30, 0.4-0.5 s at 40, 0.6-0.8 s at 50 and
 # 0.9 s at 60 on a 2-core host; ``table mm --n-max 1000 --g-max 30`` spends
-# its 2-17 s (sigma 1..5) expanding the series, not building P_g.
+# its 2-5 s (sigma 1..5) expanding the series, not building P_g.
 MAX_PIPELINE_GENUS = 30
 # Largest number of rows a ``table`` request may print: genera x (n-max + 1),
 # times (n-max + 1) again for cg-m and shapes, with one genus for ``mm --g``.
@@ -45,8 +45,8 @@ MAX_PIPELINE_GENUS = 30
 MAX_TABLE_ROWS = 300_000
 # Largest sigma of every request that takes one: ``asymptotics
 # singularity|growth``, ``series dg``, ``table mm`` and each ``verify
-# --sigma``.  The singularity's Sturm chain costs about sigma^3.5: sigma 20
-# takes 0.6 s, 30 1.6 s, 40 3.7 s, 60 12 s.
+# --sigma``.  The singularity's Sturm chain costs about sigma^2.8: sigma 20
+# takes 0.4 s, 30 1.2 s, 40 2.8 s, 60 8.8 s in-process.
 MAX_SIGMA = 40
 # Largest n of the boundary polynomials p(n, x) (``poly hz --n``, ``verify
 # hz --n-max``).  The recursion rows take 0.05 s at n 80 in-process; the

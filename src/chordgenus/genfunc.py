@@ -34,10 +34,11 @@ analogue, are kept as the witnesses ``_diagram_bivariate_composed`` and
 is taken on the composed witness, and the tests compare both routes.
 
 The macromolecular series D_{g,sigma} = pre_sigma C_g(theta_sigma) is
-expanded from the closed form: an integer polynomial times a rational power
-of an integer polynomial, raised by ``series.rational_power`` in
-O(order * degree) integer operations.  The term-by-term composition the
-formula literally writes is cubic in the order over Fractions; it is kept as
+expanded from the closed form: one Horner pass over the g coefficients of
+R_g = P_g / z^(2g) builds its polynomial part with O(g) trimmed products,
+``series.rational_power`` raises the rest in O(order * degree) integer
+operations, and one bracket x tail product joins them.  The term-by-term
+composition, cubic in the order over Fractions, is kept as
 ``_macromolecular_series_composed``, the witness the tests compare against.
 """
 
@@ -46,7 +47,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import zip_longest
 from typing import Sequence
 
 from .bruteforce import GenusTable
@@ -568,18 +570,19 @@ def macromolecular_series(g: int, sigma: int, order: int) -> Series:
     D_{g,sigma} = pre_sigma C_g(theta_sigma), expanded from the closed form of
     C_g.  With q = z^(2 sigma) - z^2 + 1, n1 = z^(2 sigma) + (1-z) q and
     Delta = n1^2 - 4 z^(2 sigma) q one has pre_sigma = q/n1 and
-    1 - 4 theta_sigma = Delta/n1^2, so for P_g = sum_k p_k z^k
+    1 - 4 theta_sigma = Delta/n1^2.  So with a = z^(2 sigma) q, b = n1^2 and
+    H = sum_j r_j a^j b^(g-1-j), R_g = P_g / z^(2g) = sum_j r_j z^j homogenized,
 
-        D_{g,sigma} = [sum_k p_k z^(2 sigma k) q^(k+1) n1^(6g-2-2k)] Delta^(1/2-3g),
+        D_{g,sigma} = z^(4 sigma g) q^(2g+1) H Delta^(1/2-3g),
         D_{0,sigma} = (n1 - Delta^(1/2)) / (2 z^(2 sigma)).
 
-    The bracket is a polynomial because deg P_g <= 3g-1.  The power of Delta
-    comes from ``rational_power``, so the cost is O(order * (deg Delta +
-    deg bracket)) integer operations; the genus-0 shift and halving are
-    checked to be exact.  The term-by-term composition is cubic in the order
-    and is kept as ``_macromolecular_series_composed``, the witness the tests
-    compare against.  Defined for g >= 1 by the theory; g = 0 is exposed as
-    an extension and checked against the oracle informationally.
+    One Horner pass h <- h b + r_j a^j builds H with O(g) products, each
+    trimmed to its true length and to the order; ``rational_power`` raises
+    Delta in O(order * deg Delta) integer operations, one bracket x tail
+    product joins them, and the genus-0 shift and halving are checked exact.
+    The composition, cubic in the order, is the tests' witness
+    ``_macromolecular_series_composed``.  Defined for g >= 1 by the theory;
+    g = 0 is an extension, checked informationally against the oracle.
     """
     if g < 0:
         raise ValueError("g must be >= 0")
@@ -597,19 +600,23 @@ def macromolecular_series(g: int, sigma: int, order: int) -> Series:
         if any(c % 2 for c in num):
             raise ArithmeticError("n1 - Delta^(1/2) has an odd coefficient")
         return Series([c // 2 for c in num]).shift_down(shift)
-    # the bracket, in integers and truncated at the order
+    n = order - 2 * shift * g  # the series starts at z^(4 sigma g)
+    if n < 0:
+        return Series.zero(order)
+
+    def mul(x: list[int], y: list[int]) -> list[int]:
+        return _list_mul(x, y, min(n, len(x) + len(y) - 2))
+
     qi, n1i = _int_coeffs(q), _int_coeffs(n1)
-    bracket = [0] * (order + 1)
-    for k, pk in enumerate(_int_coeffs(genus_polynomial(g))):
-        if not pk or shift * k > order:
-            continue
-        term = [0] * (shift * k) + [pk]
-        for factor in [qi] * (k + 1) + [n1i] * (6 * g - 2 - 2 * k):
-            term = _list_mul(term, factor, min(order, len(term) + len(factor) - 2))
-        for i, c in enumerate(term):
-            bracket[i] += c
-    tail = rational_power(delta.coeffs, Fraction(1, 2) - 3 * g, order)
-    return Series(_list_mul(bracket, tail, order))
+    a, b = [0] * shift + qi, mul(n1i, n1i)
+    r = _int_coeffs(reduced_genus_polynomial(g)) + [0] * g  # r_0 .. r_(g-1), padded
+    h, a_pow = r[:1], [1]
+    for rj in r[1:g]:  # h <- h b + r_j a^j
+        a_pow = mul(a_pow, a)
+        h = [x + rj * y for x, y in zip_longest(mul(h, b), a_pow, fillvalue=0)]
+    bracket = mul(reduce(mul, [qi] * (2 * g + 1)), h)
+    tail = rational_power(delta.coeffs, Fraction(1, 2) - 3 * g, n)
+    return Series([0] * (order - n) + _list_mul(bracket, tail, n))
 
 
 def _macromolecular_series_composed(g: int, sigma: int, order: int) -> Series:

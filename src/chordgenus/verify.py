@@ -102,10 +102,10 @@ def suite_oracle(n_max: int = 6) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def suite_hz(n_max: int = 10, eval_n: int = 6) -> list[CheckResult]:
+def suite_hz(n_max: int = 10) -> list[CheckResult]:
     rows = recurrences.boundary_polynomials(n_max)
     indep = recurrences.boundary_polynomials_independent(n_max)
-    eval_n = min(eval_n, n_max)  # rows holds polynomials up to n_max only
+    eval_n = min(6, n_max)  # rows holds polynomials up to n_max only
     oracle = bruteforce.count_by_genus(eval_n)
 
     def by_polynomial(k):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chordgenus import asymptotics
 from chordgenus.asymptotics import (
     DEFAULT_WIDTH,
     PI_HI,
@@ -243,6 +244,22 @@ class TestSmallestPositiveRoot:
         for k in ks:
             p = p * Poly([-1, k])
         assert bracket_of(smallest_positive_root(p)) == grid_scan_root(p)
+
+    def test_sturm_counts_stop_at_one_root(self, monkeypatch):
+        # every singularity polynomial has one root in (0, 2], so V(0) and
+        # V(2) are the only chain evaluations; the sign bisection does the rest
+        calls = []
+        signs_at = asymptotics._signs_at
+
+        def counting(chain, x):
+            calls.append(x)
+            return signs_at(chain, x)
+
+        monkeypatch.setattr(asymptotics, "_signs_at", counting)
+        for sigma in range(1, 13):
+            calls.clear()
+            smallest_positive_root(singularity_polynomial(sigma))
+            assert calls == [0, 2], sigma
 
     @staticmethod
     def assert_brackets(p, root):

@@ -43,7 +43,7 @@ from chordgenus.genfunc import (
     _shape_bivariate_composed,
 )
 from chordgenus.recurrences import diagram_count_min_chords
-from chordgenus.series import BiSeries, Poly, Series, geometric_series
+from chordgenus.series import BiSeries, Poly, Series, _list_mul, geometric_series, rational_power
 from chordgenus.verify import GOLDEN_GENUS_POLYNOMIALS
 
 
@@ -61,6 +61,30 @@ def difference_table_shape_rows(g, order_z, order_u):
         out.append(list(diff[0]))
         diff = [[b - a for a, b in zip(lo, hi)] for lo, hi in zip(diff, diff[1:])]
     return out
+
+
+def bracket_loop_series(g, sigma, order):
+    """D_{g,sigma}, g >= 1, from the bracket sum_k p_k z^(2 sigma k) q^(k+1) n1^(6g-2-2k).
+
+    The route ``macromolecular_series`` took before its Horner pass over
+    R_g, kept as its witness: each k rebuilds its term from scratch with
+    6g-1-k order-length products, then the bracket times Delta^(1/2-3g).
+    """
+    q, n1 = genfunc._q_sigma(sigma), genfunc._n1_sigma(sigma)
+    shift = 2 * sigma
+    delta = n1 * n1 - Poly.monomial(shift, 4) * q
+    qi, n1i = genfunc._int_coeffs(q), genfunc._int_coeffs(n1)
+    bracket = [0] * (order + 1)
+    for k, pk in enumerate(genfunc._int_coeffs(genus_polynomial(g))):
+        if not pk or shift * k > order:
+            continue
+        term = [0] * (shift * k) + [pk]
+        for factor in [qi] * (k + 1) + [n1i] * (6 * g - 2 - 2 * k):
+            term = _list_mul(term, factor, min(order, len(term) + len(factor) - 2))
+        for i, c in enumerate(term):
+            bracket[i] += c
+    tail = rational_power(delta.coeffs, Fraction(1, 2) - 3 * g, order)
+    return Series(_list_mul(bracket, tail, order))
 
 
 @pytest.fixture(scope="module")
@@ -396,6 +420,31 @@ class TestMacromolecular:
                     assert macromolecular_series(g, sigma, order) == (
                         _macromolecular_series_composed(g, sigma, order)
                     ), (g, sigma, order)
+
+    def test_horner_pass_equals_the_per_k_bracket(self):
+        for g in range(1, 9):
+            for sigma in range(1, 6):
+                start = 4 * sigma * g  # the first possibly nonzero coefficient
+                for order in (0, 1, start - 1, start, start + 1, 60, 150):
+                    assert macromolecular_series(g, sigma, order) == (
+                        bracket_loop_series(g, sigma, order)
+                    ), (g, sigma, order)
+        assert macromolecular_series(12, 2, 300) == bracket_loop_series(12, 2, 300)
+
+    def test_horner_pass_makes_o_g_products(self, monkeypatch):
+        g, sigma, order = 12, 2, 300
+        reduced_genus_polynomial(g)  # the P_g pipeline multiplies too; warm it
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _list_mul(*args)
+
+        monkeypatch.setattr(genfunc, "_list_mul", counting)
+        ser = macromolecular_series(g, sigma, order)
+        # the per-k bracket made 499 products here
+        assert len(calls) <= 4 * g + 4
+        assert ser == bracket_loop_series(g, sigma, order)
 
     def test_validation(self):
         with pytest.raises(ValueError):
