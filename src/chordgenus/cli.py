@@ -28,8 +28,9 @@ from . import __version__, asymptotics, bruteforce, genfunc, recurrences, verify
 ORDER_CAP = 1000
 # Largest genus a request may push through the P_g pipeline.  Building
 # P_1..P_g cold takes 0.3 s at g = 30, 0.4-0.5 s at 40, 0.6-0.8 s at 50 and
-# 0.9 s at 60 on a 2-core host; ``table mm --n-max 1000 --g-max 30`` spends
-# its 2-5 s (sigma 1..5) expanding the series, not building P_g.
+# 0.9 s at 60 on a 2-core host; ``table mm --n-max 1000 --g-max 30`` takes
+# 1.6-2.6 s (sigma 1..5, fresh process), most of it in the series' H x tail
+# products, not in building P_g.
 MAX_PIPELINE_GENUS = 30
 # Largest number of rows a ``table`` request may print: genera x (n-max + 1),
 # times (n-max + 1) again for cg-m and shapes, with one genus for ``mm --g``.

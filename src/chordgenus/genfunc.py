@@ -34,11 +34,11 @@ analogue, are kept as the witnesses ``_diagram_bivariate_composed`` and
 is taken on the composed witness, and the tests compare both routes.
 
 The macromolecular series D_{g,sigma} = pre_sigma C_g(theta_sigma) is
-expanded from the closed form: one Horner pass over the g coefficients of
-R_g = P_g / z^(2g) builds its polynomial part with O(g) trimmed products,
-``series.rational_power`` raises the rest in O(order * degree) integer
-operations, and one bracket x tail product joins them.  The term-by-term
-composition, cubic in the order over Fractions, is kept as
+expanded on ints from z^(4 sigma g) q^(2g+1) H Delta^(1/2-3g): one Horner
+pass over R_g = P_g / z^(2g) builds H with O(g) trimmed products,
+``series.rational_power`` raises Delta in O(order * nnz Delta) operations,
+one H x tail product joins them, and q^(2g+1) is 2g+1 passes of additions.
+The term-by-term composition, cubic in the order over Fractions, is kept as
 ``_macromolecular_series_composed``, the witness the tests compare against.
 """
 
@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import zip_longest
 from typing import Sequence
 
@@ -538,21 +538,24 @@ def fiber_series_macromolecular(s: int, m: int, sigma: int, order: int) -> Serie
 # ---------------------------------------------------------------------------
 
 
-def _q_sigma(sigma: int) -> Poly:
-    # the stack kernel is u_sigma(z) = (z^2)^(sigma-1) / q_sigma(z)
-    return Poly.monomial(2 * sigma) - Poly.monomial(2) + Poly.one()
+def _q_sigma(sigma: int) -> list[int]:
+    # the stack kernel is u_sigma(z) = (z^2)^(sigma-1) / q_sigma(z), with
+    # q_sigma = z^(2 sigma) - z^2 + 1, which is 1 at sigma = 1
+    return [1] if sigma == 1 else [1, 0, -1] + [0] * (2 * sigma - 3) + [1]
 
 
-def _n1_sigma(sigma: int) -> Poly:
-    # u_sigma z^2 - z + 1 over the common denominator q_sigma
-    return Poly.monomial(2 * sigma) + Poly([1, -1]) * _q_sigma(sigma)
+def _n1_sigma(sigma: int) -> list[int]:
+    # u_sigma z^2 - z + 1 over the common denominator q_sigma, z^(2 sigma) + (1-z) q
+    q = _q_sigma(sigma)
+    monomial = [0] * (2 * sigma) + [1]
+    return [m + c - d for m, c, d in zip_longest(monomial, q, [0] + q, fillvalue=0)]
 
 
 def macromolecular_prefactor(sigma: int) -> RationalFunction:
     """1 / (u_sigma z^2 - z + 1) as a ratio of polynomials."""
     if sigma < 1:
         raise ValueError("sigma must be >= 1")
-    return RationalFunction(_q_sigma(sigma), _n1_sigma(sigma))
+    return RationalFunction(Poly(_q_sigma(sigma)), Poly(_n1_sigma(sigma)))
 
 
 def macromolecular_argument(sigma: int) -> RationalFunction:
@@ -560,7 +563,7 @@ def macromolecular_argument(sigma: int) -> RationalFunction:
     if sigma < 1:
         raise ValueError("sigma must be >= 1")
     return RationalFunction(
-        Poly.monomial(2 * sigma) * _q_sigma(sigma), _n1_sigma(sigma) ** 2
+        Poly([0] * (2 * sigma) + _q_sigma(sigma)), Poly(_n1_sigma(sigma)) ** 2
     )
 
 
@@ -576,13 +579,15 @@ def macromolecular_series(g: int, sigma: int, order: int) -> Series:
         D_{g,sigma} = z^(4 sigma g) q^(2g+1) H Delta^(1/2-3g),
         D_{0,sigma} = (n1 - Delta^(1/2)) / (2 z^(2 sigma)).
 
-    One Horner pass h <- h b + r_j a^j builds H with O(g) products, each
-    trimmed to its true length and to the order; ``rational_power`` raises
-    Delta in O(order * deg Delta) integer operations, one bracket x tail
-    product joins them, and the genus-0 shift and halving are checked exact.
-    The composition, cubic in the order, is the tests' witness
-    ``_macromolecular_series_composed``.  Defined for g >= 1 by the theory;
-    g = 0 is an extension, checked informationally against the oracle.
+    On int lists, one Horner pass h <- h b + r_j a^j builds H with O(g)
+    products, each trimmed to its true length and to the order;
+    ``rational_power`` raises Delta in O(order * nnz Delta) operations; one
+    H x tail product joins them; q^(2g+1) follows as 2g+1 passes of
+    additions f <- f - z^2 f + z^(2 sigma) f, none at sigma = 1 where q = 1;
+    and the genus-0 shift and halving are checked exact.  The composition,
+    cubic in the order, is the tests' witness ``_macromolecular_series_composed``.
+    Defined for g >= 1 by the theory; g = 0 is an extension, checked
+    informationally against the oracle.
     """
     if g < 0:
         raise ValueError("g must be >= 0")
@@ -592,10 +597,11 @@ def macromolecular_series(g: int, sigma: int, order: int) -> Series:
         raise ValueError("order must be >= 0")
     q, n1 = _q_sigma(sigma), _n1_sigma(sigma)
     shift = 2 * sigma
-    delta = n1 * n1 - Poly.monomial(shift, 4) * q
+    a, b = [0] * shift + q, _list_mul(n1, n1, 2 * len(n1) - 2)
+    delta = [x - 4 * y for x, y in zip_longest(b, a, fillvalue=0)]
     if g == 0:
-        num = [-r for r in rational_power(delta.coeffs, Fraction(1, 2), order + shift)]
-        for i, c in enumerate(_int_coeffs(n1)[: order + shift + 1]):
+        num = [-r for r in rational_power(delta, Fraction(1, 2), order + shift)]
+        for i, c in enumerate(n1[: order + shift + 1]):
             num[i] += c
         if any(c % 2 for c in num):
             raise ArithmeticError("n1 - Delta^(1/2) has an odd coefficient")
@@ -607,16 +613,16 @@ def macromolecular_series(g: int, sigma: int, order: int) -> Series:
     def mul(x: list[int], y: list[int]) -> list[int]:
         return _list_mul(x, y, min(n, len(x) + len(y) - 2))
 
-    qi, n1i = _int_coeffs(q), _int_coeffs(n1)
-    a, b = [0] * shift + qi, mul(n1i, n1i)
     r = _int_coeffs(reduced_genus_polynomial(g)) + [0] * g  # r_0 .. r_(g-1), padded
     h, a_pow = r[:1], [1]
     for rj in r[1:g]:  # h <- h b + r_j a^j
         a_pow = mul(a_pow, a)
         h = [x + rj * y for x, y in zip_longest(mul(h, b), a_pow, fillvalue=0)]
-    bracket = mul(reduce(mul, [qi] * (2 * g + 1)), h)
-    tail = rational_power(delta.coeffs, Fraction(1, 2) - 3 * g, n)
-    return Series([0] * (order - n) + _list_mul(bracket, tail, n))
+    f = _list_mul(h, rational_power(delta, Fraction(1, 2) - 3 * g, n), n)
+    if sigma > 1:  # q^(2g+1), one pass per factor q = 1 - z^2 + z^(2 sigma)
+        for _ in range(2 * g + 1):
+            f = [x - y + w for x, y, w in zip(f, [0, 0] + f, [0] * shift + f)]
+    return Series([0] * (order - n) + f)
 
 
 def _macromolecular_series_composed(g: int, sigma: int, order: int) -> Series:

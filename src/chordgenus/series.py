@@ -495,8 +495,8 @@ def rational_power(a: Sequence[Scalar], alpha: Scalar, order: int) -> list[int]:
 
         q k f_k = sum_{j=1}^{min(k, deg a)} ((p + q) j - q k) a_j f_{k-j}.
 
-    The sums run on Python ints and cost O(order * deg a) coefficient
-    operations.  Every division is checked: a nonzero remainder means the
+    The sums run on Python ints and cost O(order * nnz a) coefficient
+    operations, with (p + q) j a_j and q a_j taken once per term.  Every division is checked: a nonzero remainder means the
     power has a non-integer coefficient and raises ArithmeticError.
     """
     if order < 0:
@@ -508,14 +508,14 @@ def rational_power(a: Sequence[Scalar], alpha: Scalar, order: int) -> list[int]:
         raise ValueError("rational_power needs a(0) = 1")
     alpha = _f(alpha)
     p, q = alpha.numerator, alpha.denominator
-    terms = [(j, c) for j, c in enumerate(coeffs) if j and c]
+    terms = [(j, (p + q) * j * c, q * c) for j, c in enumerate(coeffs) if j and c]
     f = [1] + [0] * order
     for k in range(1, order + 1):
         acc = 0
-        for j, aj in terms:
+        for j, u, v in terms:  # u - k v = ((p + q) j - q k) a_j
             if j > k:
                 break
-            acc += ((p + q) * j - q * k) * aj * f[k - j]
+            acc += (u - k * v) * f[k - j]
         fk, rem = divmod(acc, q * k)
         if rem:
             raise ArithmeticError(

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chordgenus import cli, genfunc
+from chordgenus.asymptotics import singularity_polynomial
 from chordgenus.bruteforce import (
     count_by_genus_onechords,
     count_macromolecular_multi,
@@ -63,6 +64,16 @@ def difference_table_shape_rows(g, order_z, order_u):
     return out
 
 
+def q_sigma_definition(sigma):
+    """q_sigma = z^(2 sigma) - z^2 + 1, the denominator of the stack kernel."""
+    return Poly.monomial(2 * sigma) - Poly.monomial(2) + Poly.one()
+
+
+def n1_sigma_definition(sigma):
+    """n1_sigma = z^(2 sigma) + (1 - z) q_sigma."""
+    return Poly.monomial(2 * sigma) + Poly([1, -1]) * q_sigma_definition(sigma)
+
+
 def bracket_loop_series(g, sigma, order):
     """D_{g,sigma}, g >= 1, from the bracket sum_k p_k z^(2 sigma k) q^(k+1) n1^(6g-2-2k).
 
@@ -70,7 +81,7 @@ def bracket_loop_series(g, sigma, order):
     R_g, kept as its witness: each k rebuilds its term from scratch with
     6g-1-k order-length products, then the bracket times Delta^(1/2-3g).
     """
-    q, n1 = genfunc._q_sigma(sigma), genfunc._n1_sigma(sigma)
+    q, n1 = q_sigma_definition(sigma), n1_sigma_definition(sigma)
     shift = 2 * sigma
     delta = n1 * n1 - Poly.monomial(shift, 4) * q
     qi, n1i = genfunc._int_coeffs(q), genfunc._int_coeffs(n1)
@@ -442,9 +453,19 @@ class TestMacromolecular:
 
         monkeypatch.setattr(genfunc, "_list_mul", counting)
         ser = macromolecular_series(g, sigma, order)
-        # the per-k bracket made 499 products here
-        assert len(calls) <= 4 * g + 4
+        # b, then 2(g-1) Horner products, then H x tail; the per-k bracket
+        # made 499 products here
+        assert len(calls) <= 2 * g
         assert ser == bracket_loop_series(g, sigma, order)
+
+    def test_sigma_polynomials_match_their_definitions(self):
+        for sigma in range(1, 41):
+            q, n1 = genfunc._q_sigma(sigma), genfunc._n1_sigma(sigma)
+            assert Poly(q) == q_sigma_definition(sigma), sigma
+            assert Poly(n1) == n1_sigma_definition(sigma), sigma
+            a, b = [0] * (2 * sigma) + q, _list_mul(n1, n1, 2 * len(n1) - 2)
+            delta = Poly(b) - Poly(a).scale(4)
+            assert delta == -singularity_polynomial(sigma), sigma
 
     def test_validation(self):
         with pytest.raises(ValueError):

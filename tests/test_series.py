@@ -328,6 +328,23 @@ def test_rational_power_square_root_squares_back(u, order):
     assert root * root == Poly(a).as_series(order)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    tail=st.lists(st.integers(-5, 5), min_size=0, max_size=6),
+    p=st.integers(-6, 6),
+    n=st.integers(0, 40),
+)
+def test_rational_power_of_a_square_is_the_integer_power(tail, p, n):
+    # (c^2)^(p/2) = c^p for c(0) = 1; p even reduces alpha to an integer
+    c = Poly([1] + tail)
+    got = Series(rational_power((c * c).coeffs, Fraction(p, 2), n))
+    power = (c ** abs(p)).as_series(n)
+    if p >= 0:
+        assert got == power
+    else:
+        assert got * power == Series.one(n)
+
+
 def test_sqrt_requires_unit_constant_term():
     with pytest.raises(ValueError):
         Series([4, 1, 1]).sqrt()
