@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .genfunc import genus_polynomial, genus_series, macromolecular_argument, macromolecular_series
+from .genfunc import genus_coeffs, genus_polynomial, macromolecular_argument, macromolecular_coeffs
 from .recurrences import diagram_count, diagram_count_closed_form
 from .series import Poly, poly_divmod, poly_gcd
 
@@ -91,6 +91,12 @@ def sqrt_interval(iv: RationalInterval) -> RationalInterval:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _root_pi() -> RationalInterval:
+    """sqrt(pi) bracketed from PI_LO and PI_HI, built on first use."""
+    return sqrt_interval(RationalInterval(PI_LO, PI_HI))
+
+
 @dataclass(frozen=True)
 class AsymptoticEstimate:
     """c_g(n) ~ rational_factor / sqrt(pi) * n^power * growth^n."""
@@ -116,7 +122,7 @@ def leading_constant(g: int) -> AsymptoticEstimate:
         * math.factorial(3 * g - 1)
         / math.factorial(6 * g - 2)
     )
-    root_pi = sqrt_interval(RationalInterval(PI_LO, PI_HI))
+    root_pi = _root_pi()
     interval = RationalInterval(k / root_pi.hi, k / root_pi.lo)
     return AsymptoticEstimate(
         g=g,
@@ -291,9 +297,9 @@ def empirical_growth_ratio(coeffs, n: int) -> Fraction:
 
 def diagram_growth_ratio(g: int, n: int) -> Fraction:
     """c_g(n) / c_g(n-1), the empirical counterpart of the growth base 4."""
-    return empirical_growth_ratio(genus_series(g, n).coeffs, n)
+    return empirical_growth_ratio(genus_coeffs(g, n), n)
 
 
 def macromolecular_growth_ratio(g: int, sigma: int, n: int) -> Fraction:
     """d_{g,sigma}(n) / d_{g,sigma}(n-1), computed from the closed form."""
-    return empirical_growth_ratio(macromolecular_series(g, sigma, n).coeffs, n)
+    return empirical_growth_ratio(macromolecular_coeffs(g, sigma, n), n)

@@ -108,9 +108,9 @@ ROW_BATCH = 4096
 def _table_rows(args) -> tuple[tuple[str, ...], Iterator[tuple]]:
     """The table's fieldnames and its rows as tuples of raw ints and Fractions.
 
-    An oracle table or a macromolecular series is read through one
-    ``count(g, n[, m])``; the recursion and bivariate formula tables are
-    dense int rows per genus, iterated as they stand.  Everything is built
+    An oracle table is read through one ``count(g, n[, m])``; the
+    recursion, bivariate and macromolecular formula tables are dense int
+    rows per genus, iterated as they stand.  Everything is built
     here, before the first row is asked for, so a failing computation never
     leaves half a payload behind.
     """
@@ -152,25 +152,38 @@ def _table_rows(args) -> tuple[tuple[str, ...], Iterator[tuple]]:
         genera = (args.g,)
     if oracle:
         count = bruteforce.count_macromolecular(n_max, sigma).count
-    else:
-        series = {g: genfunc.macromolecular_series(g, sigma, n_max) for g in genera}
-
-        def count(g, n):
-            return series[g].coeff(n)
-
+        return ("sigma", "g", "n", "count"), (
+            (sigma, g, n, count(g, n)) for g in genera for n in ns
+        )
+    rows = {g: genfunc.macromolecular_coeffs(g, sigma, n_max) for g in genera}
     return ("sigma", "g", "n", "count"), (
-        (sigma, g, n, count(g, n)) for g in genera for n in ns
+        (sigma, g, n, v) for g, row in rows.items() for n, v in enumerate(row)
     )
+
+
+def _emit_list(doc: dict, key: str, items: Iterator[str], stream) -> None:
+    """Write ``doc``, whose ``payload[key]`` is empty, with ``items`` spliced in.
+
+    The JSON text is byte-identical to ``json.dump(indent=2, sort_keys=True)``
+    of ``doc`` with the items' values in that list.  The envelope is dumped
+    with the empty list, and the items, each already rendered at the fixed
+    item indent, are spliced in ``ROW_BATCH`` at a time.  ``"%s" % v`` is
+    ``str(v)``, the exact rendering of an int or a Fraction, whose digits,
+    "-" and "/" need no escaping.
+    """
+    head, tail = json.dumps(doc, indent=2, sort_keys=True).rsplit(f'"{key}": []', 1)
+    stream.write(head + f'"{key}": [')
+    sep = "\n"
+    for batch in iter(lambda: list(itertools.islice(items, ROW_BATCH)), []):
+        stream.write(sep + ",\n".join(batch))
+        sep = ",\n"
+    stream.write(("]" if sep == "\n" else "\n    ]") + tail + "\n")
 
 
 def _emit_table(doc: dict, fieldnames, rows, fmt: str, stream) -> None:
     """Write the rows as CSV, or as ``doc`` with the rows in ``payload.rows``.
 
-    The JSON text is byte-identical to ``json.dump(indent=2, sort_keys=True)``
-    of string-valued row dicts.  The envelope is dumped with no rows and the
-    rows are spliced in, each from one template with its keys in sorted order
-    at the fixed row indent.  ``"%s" % v`` is ``str(v)``, the exact rendering
-    of an int or a Fraction, whose digits, "-" and "/" need no escaping.
+    Each JSON row is one template with its keys in sorted order.
     """
     if fmt == "csv":
         writer = csv.writer(stream, lineterminator="\n")
@@ -179,15 +192,13 @@ def _emit_table(doc: dict, fieldnames, rows, fmt: str, stream) -> None:
         return
     keys = sorted(fieldnames)
     template = "      {\n" + ",\n".join(f'        "{k}": "%s"' for k in keys) + "\n      }"
-    render = template.__mod__
     pick = operator.itemgetter(*(fieldnames.index(k) for k in keys))
-    head, tail = json.dumps(doc, indent=2, sort_keys=True).rsplit('"rows": []', 1)
-    stream.write(head + '"rows": [')
-    sep = "\n"
-    for batch in iter(lambda: list(itertools.islice(rows, ROW_BATCH)), []):
-        stream.write(sep + ",\n".join(map(render, map(pick, batch))))
-        sep = ",\n"
-    stream.write(("]" if sep == "\n" else "\n    ]") + tail + "\n")
+    _emit_list(doc, "rows", map(template.__mod__, map(pick, rows)), stream)
+
+
+def _emit_coefficients(doc: dict, coeffs, stream) -> None:
+    """Write ``doc`` with the exact ``coeffs`` in ``payload.coefficients``."""
+    _emit_list(doc, "coefficients", map('      "%s"'.__mod__, coeffs), stream)
 
 
 def cmd_table(args, stream) -> int:
@@ -258,9 +269,8 @@ def cmd_poly(args, stream) -> int:
         else:
             poly = genfunc.q_polynomial(args.g)
         params = {"kind": args.poly_kind, "g": args.g}
-    payload = {"coefficients": [_fmt(c) for c in poly.coeffs]}
-    doc = _document("poly", params, payload, started)
-    _emit_json(doc, stream)
+    doc = _document("poly", params, {"coefficients": []}, started)
+    _emit_coefficients(doc, poly.coeffs, stream)
     return EXIT_OK
 
 
@@ -275,23 +285,22 @@ def cmd_series(args, stream) -> int:
     if args.order < 0:
         raise ValueError("order must be >= 0")
     if args.series_target == "cg":
-        ser = genfunc.genus_series(args.g, args.order)
+        coeffs = genfunc.genus_coeffs(args.g, args.order)
         params = {"target": "cg", "g": args.g, "order": args.order}
     else:
         if args.sigma is None:
             raise ValueError("series dg requires --sigma")
         _check_limit(args.sigma, MAX_SIGMA, "sigma")
         _check_pipeline_genus(args.g, "g")
-        ser = genfunc.macromolecular_series(args.g, args.sigma, args.order)
+        coeffs = genfunc.macromolecular_coeffs(args.g, args.sigma, args.order)
         params = {
             "target": "dg",
             "g": args.g,
             "sigma": args.sigma,
             "order": args.order,
         }
-    payload = {"coefficients": [_fmt(c) for c in ser.coeffs]}
-    doc = _document("series", params, payload, started)
-    _emit_json(doc, stream)
+    doc = _document("series", params, {"coefficients": []}, started)
+    _emit_coefficients(doc, coeffs, stream)
     return EXIT_OK
 
 

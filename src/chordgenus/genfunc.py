@@ -14,8 +14,8 @@ refinements by 1-chord number, shape generating functions, and the
 macromolecular (minimum stack size sigma) series live here too.
 
 The univariate counts come from the recursion as one dense int row per
-genus (``recurrences.diagram_count_rows``).  The bivariate refinement
-C_g(x, y), with y marking 1-chords, and the shape series
+genus (``recurrences.diagram_count_rows``), read as ``genus_coeffs``.  The
+bivariate refinement C_g(x, y), with y marking 1-chords, and the shape series
 S_g(z, u) = C_g(z/(1+z), u) are built from that row in integers, not by
 composing series, in O(n^2) steps per genus, each division checked exact:
 
@@ -34,12 +34,17 @@ analogue, are kept as the witnesses ``_diagram_bivariate_composed`` and
 is taken on the composed witness, and the tests compare both routes.
 
 The macromolecular series D_{g,sigma} = pre_sigma C_g(theta_sigma) is
-expanded on ints from z^(4 sigma g) q^(2g+1) H Delta^(1/2-3g): one Horner
-pass over R_g = P_g / z^(2g) builds H with O(g) trimmed products,
+expanded by ``macromolecular_coeffs`` into a list of ints from
+z^(4 sigma g) q^(2g+1) H Delta^(1/2-3g): one Horner pass over
+R_g = P_g / z^(2g) builds H with O(g) trimmed products,
 ``series.rational_power`` raises Delta in O(order * nnz Delta) operations,
 one H x tail product joins them, and q^(2g+1) is 2g+1 passes of additions.
 The term-by-term composition, cubic in the order over Fractions, is kept as
 ``_macromolecular_series_composed``, the witness the tests compare against.
+
+The int lists are what the command line and the growth ratios read;
+``genus_series`` and ``macromolecular_series`` wrap them in a Fraction
+``Series`` for series arithmetic.
 """
 
 from __future__ import annotations
@@ -106,17 +111,18 @@ def _int_coeffs(p: Poly) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _genus_row(g: int, n_max: int) -> tuple[int, ...]:
-    if 2 * g > n_max:
-        return (0,) * (n_max + 1)  # c_g(n) = 0 below n = 2g
-    return tuple(diagram_count_rows(g, n_max)[g])
+def genus_coeffs(g: int, order: int) -> tuple[int, ...]:
+    """c_g(0) .. c_g(order) as ints, from the counting recursion."""
+    if g < 0 or order < 0:
+        raise ValueError("g and order must be >= 0")
+    if 2 * g > order:
+        return (0,) * (order + 1)  # c_g(n) = 0 below n = 2g
+    return tuple(diagram_count_rows(g, order)[g])
 
 
 def genus_series(g: int, order: int) -> Series:
     """C_g(z) to the given order, from the counting recursion."""
-    if g < 0 or order < 0:
-        raise ValueError("g and order must be >= 0")
-    return Series(_genus_row(g, order))
+    return Series(genus_coeffs(g, order))
 
 
 # ---------------------------------------------------------------------------
@@ -400,13 +406,13 @@ def _check_orders(g: int, order_x: int, order_y: int) -> None:
 def diagram_bivariate_rows(g: int, order_x: int, order_y: int) -> list[list[int]]:
     """The coefficients of C_g(x, y) as int rows, ``rows[i][j]`` at x^i y^j."""
     _check_orders(g, order_x, order_y)
-    return _refined_rows(_genus_row(g, order_x), order_y)
+    return _refined_rows(genus_coeffs(g, order_x), order_y)
 
 
 def shape_bivariate_rows(g: int, order_z: int, order_u: int) -> list[list[int]]:
     """The coefficients of S_g(z, u) as int rows, ``rows[i][j]`` at z^i u^j."""
     _check_orders(g, order_z, order_u)
-    return _shape_rows(_genus_row(g, order_z), order_u)
+    return _shape_rows(genus_coeffs(g, order_z), order_u)
 
 
 def diagram_bivariate(g: int, order_x: int, order_y: int) -> BiSeries:
@@ -567,9 +573,10 @@ def macromolecular_argument(sigma: int) -> RationalFunction:
     )
 
 
-def macromolecular_series(g: int, sigma: int, order: int) -> Series:
-    """D_{g,sigma}(z): genus-g diagrams, no 1-chords, stacks of >= sigma.
+def macromolecular_coeffs(g: int, sigma: int, order: int) -> list[int]:
+    """The coefficients d_{g,sigma}(0 .. order) of D_{g,sigma}(z), as ints.
 
+    D_{g,sigma} counts genus-g diagrams with no 1-chords and stacks of >= sigma:
     D_{g,sigma} = pre_sigma C_g(theta_sigma), expanded from the closed form of
     C_g.  With q = z^(2 sigma) - z^2 + 1, n1 = z^(2 sigma) + (1-z) q and
     Delta = n1^2 - 4 z^(2 sigma) q one has pre_sigma = q/n1 and
@@ -605,10 +612,12 @@ def macromolecular_series(g: int, sigma: int, order: int) -> Series:
             num[i] += c
         if any(c % 2 for c in num):
             raise ArithmeticError("n1 - Delta^(1/2) has an odd coefficient")
-        return Series([c // 2 for c in num]).shift_down(shift)
+        if any(num[:shift]):
+            raise ArithmeticError(f"n1 - Delta^(1/2) is not divisible by z^{shift}")
+        return [c // 2 for c in num[shift:]]
     n = order - 2 * shift * g  # the series starts at z^(4 sigma g)
     if n < 0:
-        return Series.zero(order)
+        return [0] * (order + 1)
 
     def mul(x: list[int], y: list[int]) -> list[int]:
         return _list_mul(x, y, min(n, len(x) + len(y) - 2))
@@ -622,7 +631,12 @@ def macromolecular_series(g: int, sigma: int, order: int) -> Series:
     if sigma > 1:  # q^(2g+1), one pass per factor q = 1 - z^2 + z^(2 sigma)
         for _ in range(2 * g + 1):
             f = [x - y + w for x, y, w in zip(f, [0, 0] + f, [0] * shift + f)]
-    return Series([0] * (order - n) + f)
+    return [0] * (order - n) + f
+
+
+def macromolecular_series(g: int, sigma: int, order: int) -> Series:
+    """D_{g,sigma}(z) to the given order, from ``macromolecular_coeffs``."""
+    return Series(macromolecular_coeffs(g, sigma, order))
 
 
 def _macromolecular_series_composed(g: int, sigma: int, order: int) -> Series:
@@ -630,7 +644,7 @@ def _macromolecular_series_composed(g: int, sigma: int, order: int) -> Series:
 
     Composes the recursion-built C_g with theta_sigma term by term over
     Fractions, cubic in the order; the tests' witness for
-    ``macromolecular_series``.
+    ``macromolecular_coeffs``.
     """
     pre = macromolecular_prefactor(sigma).to_series(order)
     theta = macromolecular_argument(sigma).to_series(order)

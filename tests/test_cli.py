@@ -213,6 +213,77 @@ class TestTableEmitter:
         assert out.getvalue() == dict_row_rendering(doc, ("g", "n", "count"), rows, "json")
 
 
+def coefficient_rendering(doc, coeffs):
+    """The rendering the coefficient emitter replaced, kept as its witness.
+
+    Every coefficient becomes a decimal string; the document goes through
+    ``json.dump(indent=2, sort_keys=True)``.
+    """
+    out = io.StringIO()
+    payload = {"coefficients": [cli._fmt(c) for c in coeffs]}
+    json.dump({**doc, "payload": payload}, out, indent=2, sort_keys=True)
+    out.write("\n")
+    return out.getvalue()
+
+
+def _coefficient_cases():
+    for g in range(4):
+        for order in (0, 1, 40):
+            yield ("series", "cg", "--g", str(g), "--order", str(order))
+    for g in range(3):
+        for sigma in range(1, 4):
+            for order in sorted({0, 1, 4 * sigma * g, 60}):
+                yield ("series", "dg", "--g", str(g), "--sigma", str(sigma), "--order", str(order))
+    for kind in ("pg", "rg", "qg"):
+        for g in range(1, 5):
+            yield ("poly", kind, "--g", str(g))
+    for n in range(6):
+        yield ("poly", "hz", "--n", str(n))
+
+
+def _library_coefficients(argv):
+    """The exact coefficients behind a poly or series request, from the library."""
+    opts = dict(zip(argv[2::2], map(int, argv[3::2])))
+    if argv[0] == "poly":
+        if argv[1] == "hz":
+            return recurrences.boundary_polynomials(opts["--n"]).poly(opts["--n"]).coeffs
+        build = {
+            "pg": genfunc.genus_polynomial,
+            "rg": genfunc.reduced_genus_polynomial,
+            "qg": genfunc.q_polynomial,
+        }[argv[1]]
+        return build(opts["--g"]).coeffs
+    if argv[1] == "cg":
+        return genfunc.genus_series(opts["--g"], opts["--order"]).coeffs
+    return genfunc.macromolecular_series(opts["--g"], opts["--sigma"], opts["--order"]).coeffs
+
+
+class TestCoefficientEmitter:
+    @pytest.mark.parametrize("argv", list(_coefficient_cases()))
+    def test_output_equals_the_json_dump_rendering(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_OK, err
+        doc = {"metadata": json.loads(out)["metadata"]}
+        assert out == coefficient_rendering(doc, _library_coefficients(argv))
+
+    @pytest.mark.parametrize(
+        "coeffs", [[], [Fraction(1, 3), -2, 0, 7, Fraction(-5, 2), Fraction(6)]]
+    )
+    def test_fraction_values_and_empty_lists(self, coeffs):
+        doc = {"metadata": {"command": "poly"}, "payload": {"coefficients": []}}
+        out = io.StringIO()
+        cli._emit_coefficients(doc, coeffs, out)
+        assert out.getvalue() == coefficient_rendering(doc, coeffs)
+
+    def test_items_span_several_batches(self, monkeypatch):
+        monkeypatch.setattr(cli, "ROW_BATCH", 3)
+        doc = {"metadata": {}, "payload": {"coefficients": []}}
+        coeffs = [n * n - 7 for n in range(10)]
+        out = io.StringIO()
+        cli._emit_coefficients(doc, coeffs, out)
+        assert out.getvalue() == coefficient_rendering(doc, coeffs)
+
+
 class TestTableLimits:
     @pytest.mark.parametrize("table_class", ["cg-m", "shapes"])
     def test_bivariate_tables_past_the_row_limit_are_refused_before_any_work(
@@ -329,7 +400,7 @@ class TestCostLimits:
         monkeypatch.setattr(cli.asymptotics, "macromolecular_growth_ratio", no_work)
         monkeypatch.setattr(cli.recurrences, "boundary_polynomials", no_work)
         monkeypatch.setattr(cli.verify, "run_suite", no_work)
-        monkeypatch.setattr(cli.genfunc, "macromolecular_series", no_work)
+        monkeypatch.setattr(cli.genfunc, "macromolecular_coeffs", no_work)
         monkeypatch.setattr(cli.bruteforce, "count_macromolecular", no_work)
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE and out == ""
@@ -363,6 +434,43 @@ class TestFormulaTablesReadDenseRows:
         monkeypatch.setattr(BiSeries, "compose_outer", refuse)
         formula = run_json(capsys, "table", table_class, "--n-max", "6")
         assert formula["payload"] == oracle["payload"]
+
+
+class TestSeriesRequestsStayOnInts:
+    """Closed-form series reach the payload as int lists, never as a Fraction Series."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("series", "dg", "--g", "2", "--sigma", "3", "--order", "180"),
+            ("table", "mm", "--sigma", "2", "--n-max", "60", "--g-max", "2"),
+            ("asymptotics", "growth", "--g", "2", "--sigma", "2", "--n-max", "110"),
+        ],
+    )
+    def test_no_series_is_built(self, capsys, monkeypatch, argv):
+        built = []
+        init = Series.__init__
+
+        def counting(self, coeffs):
+            built.append(1)
+            init(self, coeffs)
+
+        monkeypatch.setattr(Series, "__init__", counting)
+        code, _, err = run_cli(capsys, *argv)
+        assert code == EXIT_OK, err
+        assert len(built) == 0
+
+    def test_every_admitted_count_prints_under_the_digit_limit(self):
+        # CPython refuses str() of an int past 4300 digits (sys.int_max_str_digits);
+        # ORDER_CAP bounds n in every series, formula table and growth ratio
+        limit = 10 ** 4299  # the least int with 4300 digits
+        full = 1  # (2n-1)!! full matchings of 2n points bound every c_g(n)
+        for k in range(1, 2 * ORDER_CAP, 2):
+            full *= k
+        partial = [1, 1]  # partial matchings of n points bound every d_{g,sigma}(n)
+        for n in range(2, ORDER_CAP + 1):
+            partial.append(partial[n - 1] + (n - 1) * partial[n - 2])
+        assert full < limit and partial[ORDER_CAP] < limit
 
 
 def _maybe(values):

@@ -31,6 +31,7 @@ from chordgenus.genfunc import (
     genus_series,
     genus_series_closed_form,
     macromolecular_argument,
+    macromolecular_coeffs,
     macromolecular_prefactor,
     macromolecular_series,
     macromolecular_series_fiber_sum,
@@ -457,6 +458,29 @@ class TestMacromolecular:
         # made 499 products here
         assert len(calls) <= 2 * g
         assert ser == bracket_loop_series(g, sigma, order)
+
+    def test_int_kernel_equals_the_series_and_the_composition_witness(self):
+        for g in range(4):
+            for sigma in range(1, 4):
+                start = 4 * sigma * g
+                for order in {0, 1, start - 1, start, 40} - {-1}:
+                    coeffs = macromolecular_coeffs(g, sigma, order)
+                    assert type(coeffs) is list and len(coeffs) == order + 1
+                    assert all(type(c) is int for c in coeffs), (g, sigma, order)
+                    assert tuple(coeffs) == macromolecular_series(g, sigma, order).coeffs
+                    assert tuple(coeffs) == (
+                        _macromolecular_series_composed(g, sigma, order).coeffs
+                    ), (g, sigma, order)
+
+    def test_genus_zero_divisibility_check_still_fires(self, monkeypatch):
+        def perturbed(a, alpha, order):
+            root = rational_power(a, alpha, order)
+            root[1] += 2  # keeps every coefficient even, breaks the z^(2 sigma) factor
+            return root
+
+        monkeypatch.setattr(genfunc, "rational_power", perturbed)
+        with pytest.raises(ArithmeticError, match="not divisible by z\\^4"):
+            macromolecular_coeffs(0, 2, 10)
 
     def test_sigma_polynomials_match_their_definitions(self):
         for sigma in range(1, 41):
