@@ -10,7 +10,6 @@ standard output before the payload was written.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import itertools
 import json
@@ -18,6 +17,7 @@ import operator
 import os
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterator
 
@@ -35,13 +35,16 @@ MAX_PIPELINE_GENUS = 30
 # Largest number of rows a ``table`` request may print: genera x (n-max + 1),
 # times (n-max + 1) again for cg-m and shapes, with one genus for ``mm --g``.
 # Per row the cost depends on the class; on a 2-core host:
-#   cg formula   n-max 700: 246 k rows 3.5 s; 800: 321 k rows 5.3 s
-#                (the counts have up to 480 digits); zero rows past
-#                n-max // 2: 303 k rows 0.5 s
+#   cg formula   JSON and CSV, in-process: n-max 700: 246 k rows 0.9 s,
+#                0.8 s; 773: 299 k rows 1.2 s, 1.2 s; 800: 321 k rows
+#                1.2 s, 1.2 s (the counts have up to 2216 digits and print
+#                from Decimals, in time linear in their digits); n-max 549
+#                at g-max 549, mostly zero rows past n-max // 2: 303 k rows
+#                0.9 s, 0.7 s
 #   cg-m, shapes n-max 83, every genus: 296 k rows 0.8 s, 0.9 s;
 #                n-max 546 at g-max 0: 299 k rows 2.7 s, 3.2 s
 #   oracle       n-max 8: 450 k rows of cg 4.7 s, 405 k of shapes 3.6 s
-# so the bound admits cg up to n-max 773 (about 5 s), cg-m and shapes up to
+# so the bound admits cg up to n-max 773 (about 1.5 s), cg-m and shapes up to
 # n-max 83 over every genus, and no table of millions of zero rows.
 MAX_TABLE_ROWS = 300_000
 # Largest sigma of every request that takes one: ``asymptotics
@@ -106,11 +109,13 @@ ROW_BATCH = 4096
 
 
 def _table_rows(args) -> tuple[tuple[str, ...], Iterator[tuple]]:
-    """The table's fieldnames and its rows as tuples of raw ints and Fractions.
+    """The table's fieldnames and its rows as tuples of raw numbers.
 
     An oracle table is read through one ``count(g, n[, m])``; the
-    recursion, bivariate and macromolecular formula tables are dense int
-    rows per genus, iterated as they stand.  Everything is built
+    recursion, bivariate and macromolecular formula tables are dense rows
+    per genus, iterated as they stand.  The recursion counts are Decimals,
+    which print in time linear in their digits; every other count is an
+    int or a Fraction.  Everything is built
     here, before the first row is asked for, so a failing computation never
     leaves half a payload behind.
     """
@@ -124,7 +129,7 @@ def _table_rows(args) -> tuple[tuple[str, ...], Iterator[tuple]]:
         if oracle:
             count = bruteforce.count_by_genus(n_max).count
             return ("g", "n", "count"), ((g, n, count(g, n)) for g in genera for n in ns)
-        rows = recurrences.diagram_count_rows(g_max, n_max)
+        rows = recurrences.diagram_count_rows(g_max, n_max, Decimal)
         return ("g", "n", "count"), (
             (g, n, v) for g, row in enumerate(rows) for n, v in enumerate(row)
         )
@@ -161,6 +166,11 @@ def _table_rows(args) -> tuple[tuple[str, ...], Iterator[tuple]]:
     )
 
 
+def _batches(items: Iterator[str]) -> Iterator[list[str]]:
+    """``items`` in lists of ``ROW_BATCH``."""
+    return iter(lambda: list(itertools.islice(items, ROW_BATCH)), [])
+
+
 def _emit_list(doc: dict, key: str, items: Iterator[str], stream) -> None:
     """Write ``doc``, whose ``payload[key]`` is empty, with ``items`` spliced in.
 
@@ -174,7 +184,7 @@ def _emit_list(doc: dict, key: str, items: Iterator[str], stream) -> None:
     head, tail = json.dumps(doc, indent=2, sort_keys=True).rsplit(f'"{key}": []', 1)
     stream.write(head + f'"{key}": [')
     sep = "\n"
-    for batch in iter(lambda: list(itertools.islice(items, ROW_BATCH)), []):
+    for batch in _batches(items):
         stream.write(sep + ",\n".join(batch))
         sep = ",\n"
     stream.write(("]" if sep == "\n" else "\n    ]") + tail + "\n")
@@ -183,12 +193,16 @@ def _emit_list(doc: dict, key: str, items: Iterator[str], stream) -> None:
 def _emit_table(doc: dict, fieldnames, rows, fmt: str, stream) -> None:
     """Write the rows as CSV, or as ``doc`` with the rows in ``payload.rows``.
 
-    Each JSON row is one template with its keys in sorted order.
+    Each row is one template: a CSV line with its fields in table order, or
+    a JSON object with its keys in sorted order.  No CSV field needs
+    quoting, since every value is the ``str`` of an int, a Decimal or a
+    Fraction, so the lines are those of ``csv.writer``.
     """
     if fmt == "csv":
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(fieldnames)
-        writer.writerows(rows)
+        stream.write(",".join(fieldnames) + "\n")
+        line = ",".join(["%s"] * len(fieldnames)) + "\n"
+        for batch in _batches(map(line.__mod__, rows)):
+            stream.write("".join(batch))
         return
     keys = sorted(fieldnames)
     template = "      {\n" + ",\n".join(f'        "{k}": "%s"' for k in keys) + "\n      }"

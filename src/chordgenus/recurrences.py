@@ -7,11 +7,15 @@ from the three-term recursion
 
 whose g=0 row reproduces the Catalan numbers.  The division by n+1 must be
 exact at every step, and that exactness is asserted.  ``diagram_count_rows``
-is the one kernel: it keeps the table as one dense int list per genus and
-fills c_g(n) only where 2g <= n, in O(g_max * n_max) integer steps with no
-tuple keys or dict probes.  ``diagram_count_table`` wraps those rows into a
-``GenusTable``, ``diagram_count`` reads one cell, and the generating-function
-layer reads whole rows.  The module also carries
+is the one kernel: it keeps the table as one dense list per genus and fills
+c_g(n) only where 2g <= n, in O(g_max * n_max) steps with no tuple keys or
+dict probes.  Its counts are ints by default; ``diagram_count_table`` wraps
+those rows into a ``GenusTable``, ``diagram_count`` reads one cell, and the
+generating-function layer reads whole rows.  ``table cg`` runs the same
+steps on ``decimal.Decimal`` instead: CPython 3.11 turns an int into its
+decimal string in time quadratic in its digits, while libmpdec keeps base
+10**19 limbs and prints in linear time, so a table of counts with hundreds
+of digits prints several times faster.  The module also carries
 the boundary-component polynomials p(n, x) with
 
     1 + 2 sum_{n>=0} p(n, x) z^{n+1} = ((1+z)/(1-z))^x ,
@@ -25,6 +29,7 @@ series exponential of x log((1+z)/(1-z)).
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,28 +38,51 @@ from .bruteforce import GenusTable, double_factorial_odd
 from .series import BiSeries, Poly, Series, _list_mul, exp_series
 
 
-def diagram_count_rows(g_max: int, n_max: int) -> list[list[int]]:
-    """c_g(n) as one int list per genus: ``rows[g][n]`` for g <= g_max, n <= n_max.
+# Decimal arithmetic that can never round: any result that would need
+# rounding raises ``decimal.Inexact`` (an ``ArithmeticError``) instead.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    traps=[
+        decimal.InvalidOperation,
+        decimal.DivisionByZero,
+        decimal.Overflow,
+        decimal.Inexact,
+        decimal.Rounded,
+    ],
+)
+
+
+def diagram_count_rows(g_max: int, n_max: int, number: type = int) -> list[list]:
+    """c_g(n) as one list per genus: ``rows[g][n]`` for g <= g_max, n <= n_max.
 
     The rows are pre-filled with zeros, and only g <= min(g_max, n // 2) is
-    computed; row g needs nothing but rows g and g-1.
+    computed; row g needs nothing but rows g and g-1.  Every count has the
+    type ``number``: ``int`` (the default) or ``decimal.Decimal``, whose
+    ``str`` is linear in the digits where an int's is quadratic.  Only the
+    zeros and the seed take the type; the steps are the same for both.  They
+    run in an exact Decimal context of their own, so a caller's context can
+    never round a count, and a count that would need rounding raises
+    ``ArithmeticError``.
     """
     if g_max < 0 or n_max < 0:
         raise ValueError("g_max and n_max must be >= 0")
-    rows = [[0] * (n_max + 1) for _ in range(g_max + 1)]
-    rows[0][0] = 1
-    for g in range(min(g_max, n_max // 2) + 1):
-        row, prev = rows[g], rows[g - 1] if g else None
-        for n in range(max(2 * g, 1), n_max + 1):
-            acc = 2 * (2 * n - 1) * row[n - 1]
-            if g:
-                acc += (2 * n - 1) * (n - 1) * (2 * n - 3) * prev[n - 2]
-            value, rem = divmod(acc, n + 1)
-            if rem:
-                raise ArithmeticError(
-                    f"recursion produced a non-integer at g={g}, n={n}: {acc}/{n + 1}"
-                )
-            row[n] = value
+    zero = number(0)
+    rows = [[zero] * (n_max + 1) for _ in range(g_max + 1)]
+    rows[0][0] = number(1)
+    with decimal.localcontext(_EXACT):
+        for g in range(min(g_max, n_max // 2) + 1):
+            row, prev = rows[g], rows[g - 1] if g else None
+            for n in range(max(2 * g, 1), n_max + 1):
+                acc = 2 * (2 * n - 1) * row[n - 1]
+                if g:
+                    acc += (2 * n - 1) * (n - 1) * (2 * n - 3) * prev[n - 2]
+                value, rem = divmod(acc, n + 1)
+                if rem:
+                    raise ArithmeticError(
+                        f"recursion produced a non-integer at g={g}, n={n}: {acc}/{n + 1}"
+                    )
+                row[n] = value
     return rows
 
 

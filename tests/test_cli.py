@@ -4,6 +4,7 @@ import contextlib
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -211,6 +212,31 @@ class TestTableEmitter:
         out = io.StringIO()
         cli._emit_table(doc, ("g", "n", "count"), iter(rows), "json", out)
         assert out.getvalue() == dict_row_rendering(doc, ("g", "n", "count"), rows, "json")
+
+
+class TestRecursionTableWitness:
+    """``table cg`` prints, on its Decimal route, what the int recursion gives."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("n_max", [0, 1, 7, 60, 140])
+    @pytest.mark.parametrize("g_max", [None, 0, "n-max"])
+    def test_output_equals_the_int_rows_rendered(self, capsys, fmt, n_max, g_max):
+        argv = ["table", "cg", "--n-max", str(n_max), "--source", "formula", "--format", fmt]
+        g_max = {None: None, 0: 0, "n-max": n_max}[g_max]
+        if g_max is not None:
+            argv += ["--g-max", str(g_max)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_OK and err == ""
+        int_rows = recurrences.diagram_count_rows(
+            n_max // 2 if g_max is None else g_max, n_max
+        )
+        assert all(type(v) is int for row in int_rows for v in row)
+        rows = [(g, n, v) for g, row in enumerate(int_rows) for n, v in enumerate(row)]
+        doc = {"metadata": json.loads(out)["metadata"]} if fmt == "json" else {}
+        expected = dict_row_rendering(doc, ("g", "n", "count"), rows, fmt)
+        # the first differing line, not pytest's diff, which takes minutes on megabytes
+        pairs = itertools.zip_longest(out.split("\n"), expected.split("\n"))
+        assert next((p for p in pairs if p[0] != p[1]), None) is None
 
 
 def coefficient_rendering(doc, coeffs):

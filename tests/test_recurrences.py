@@ -1,4 +1,6 @@
+import decimal
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -112,6 +114,25 @@ def test_count_rows_match_closed_forms_and_sum_to_the_double_factorial():
     for n in range(61):
         assert sum(row[n] for row in rows) == double_factorial_odd(n)
     assert all(type(v) is int for row in rows for v in row)
+
+
+def test_decimal_rows_equal_the_int_rows_and_print_plain_digits():
+    ints = diagram_count_rows(30, 200)
+    assert all(type(v) is int for row in ints for v in row)
+    rows = diagram_count_rows(30, 200, Decimal)
+    assert all(type(v) is Decimal for row in rows for v in row)
+    assert rows == ints
+    # each prints as its int does: plain digits, no exponent or point
+    assert [[str(v) for v in row] for row in rows] == [[str(v) for v in row] for row in ints]
+
+
+def test_decimal_rows_ignore_the_callers_context():
+    # at 5 digits every count past 99999 would round or fail to divide
+    with decimal.localcontext() as ctx:
+        ctx.prec = 5
+        rows = diagram_count_rows(30, 200, Decimal)
+        assert decimal.getcontext().prec == 5
+    assert rows == diagram_count_rows(30, 200)
 
 
 def test_count_rows_validation():
