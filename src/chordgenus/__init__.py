@@ -49,6 +49,7 @@ from .genfunc import (
     shape_bivariate,
 )
 from .recurrences import (
+    boundary_polynomial,
     boundary_polynomials,
     boundary_polynomials_independent,
     diagram_count,
@@ -75,6 +76,7 @@ __all__ = [
     "RootIsolation",
     "Series",
     "asymptotic_ratio_interval",
+    "boundary_polynomial",
     "boundary_polynomials",
     "boundary_polynomials_independent",
     "bracket_sqrt",

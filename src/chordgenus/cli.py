@@ -30,7 +30,8 @@ ORDER_CAP = 1000
 # P_1..P_g cold takes 0.3 s at g = 30, 0.4-0.5 s at 40, 0.6-0.8 s at 50 and
 # 0.9 s at 60 on a 2-core host; ``table mm --n-max 1000 --g-max 30`` takes
 # 1.6-2.6 s (sigma 1..5, fresh process), most of it in the series' H x tail
-# products, not in building P_g.
+# products, not in building P_g.  ``poly qg --g G`` reads the record of
+# genus G + 1, which holds Q_G.
 MAX_PIPELINE_GENUS = 30
 # Largest number of rows a ``table`` request may print: genera x (n-max + 1),
 # times (n-max + 1) again for cg-m and shapes, with one genus for ``mm --g``.
@@ -52,12 +53,18 @@ MAX_TABLE_ROWS = 300_000
 # --sigma``.  The singularity's Sturm chain costs about sigma^2.8: sigma 20
 # takes 0.4 s, 30 1.2 s, 40 2.8 s, 60 8.8 s in-process.
 MAX_SIGMA = 40
-# Largest n of the boundary polynomials p(n, x) (``poly hz --n``, ``verify
-# hz --n-max``).  The recursion rows take 0.05 s at n 80 in-process; the
-# bound is held by verify's exp/log witness, 0.35 s at n 60 and 0.9-1.0 s
-# at 80 in-process (``verify hz --n-max 80`` 0.8-1.2 s in a fresh process,
-# 2-core host).
-MAX_HZ_N = 80
+# Largest n of the boundary polynomial p(n, x) that ``poly hz --n`` prints.
+# The single row is O(n^2) big-int steps: 0.6 ms at n 80, 0.04 s at 400,
+# 0.26 s at 800, 0.32 s at 1000 and 0.60 s at 1200 in-process; 0.10, 0.26,
+# 0.44 and 0.74 s at 400, 800, 1000 and 1200 in a fresh process (2-core
+# host).  At 1000 its longest numerator or denominator has 2272 digits,
+# under the 4300 that CPython prints.
+MAX_HZ_POLY_N = 1000
+# Largest ``verify hz|all --n-max``.  Verify builds every row 0..n-max twice,
+# and the bound is held by the exp/log witness: 0.35 s at n 60 and
+# 0.9-1.0 s at 80 in-process (``verify hz --n-max 80`` 0.8-1.2 s in a fresh
+# process, 2-core host).
+MAX_HZ_VERIFY_N = 80
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -267,8 +274,10 @@ def cmd_poly(args, stream) -> int:
     if args.poly_kind == "hz":
         if args.n is None:
             raise ValueError("poly hz requires --n")
-        _check_limit(args.n, MAX_HZ_N, "n")
-        poly = recurrences.boundary_polynomials(args.n).poly(args.n)
+        _check_limit(args.n, MAX_HZ_POLY_N, "n")
+        if args.n < 0:  # the usage error keeps its established wording
+            raise ValueError("n_max must be >= 0")
+        poly = recurrences.boundary_polynomial(args.n)
         params = {"kind": "hz", "n": args.n}
     else:
         if args.g is None:
@@ -416,7 +425,7 @@ def cmd_verify(args, stream) -> int:
             f"pipeline limit is {MAX_PIPELINE_GENUS}"
         )
     if args.suite in ("hz", "all"):
-        _check_limit(args.n_max or 0, MAX_HZ_N, "--n-max")
+        _check_limit(args.n_max or 0, MAX_HZ_VERIFY_N, "--n-max")
     if args.sigma_list:
         _check_limit(max(args.sigma_list), MAX_SIGMA, "--sigma")
     sigmas = tuple(args.sigma_list) if args.sigma_list else None

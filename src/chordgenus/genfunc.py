@@ -200,8 +200,13 @@ def derived_numerators(p: Poly, g: int) -> tuple[Poly, Poly, Poly]:
 
 
 def q_polynomial(g: int) -> Poly:
-    """Q_g, the numerator of the inhomogeneous term driving genus g+1."""
-    return _q_from_poly(genus_polynomial(g), g)
+    """Q_g, the numerator of the inhomogeneous term driving genus g+1.
+
+    Read from the pipeline record of P_(g+1), whose step built and checked it.
+    """
+    if g < 1:
+        raise ValueError("records start at genus 1")
+    return _record(g + 1).q_prev
 
 
 def _q_from_poly(p: Poly, g: int) -> Poly:

@@ -21,10 +21,13 @@ the boundary-component polynomials p(n, x) with
     1 + 2 sum_{n>=0} p(n, x) z^{n+1} = ((1+z)/(1-z))^x ,
 
 so that (2n-1)!! p(n, N) = sum_g c_g(n) N^(n+1-2g) (Harer and Zagier, 1986).
-They are built twice: from the additive recursion, which in the binomial
-basis C(x, k) is one integer step per row and solves to the closed form
-p(n, x) = sum_k 2^(k-1) C(n, k-1) C(x, k), and, independently, from the
-series exponential of x log((1+z)/(1-z)).
+They are built three ways.  ``boundary_polynomial`` builds row n alone from
+the closed form p(n, x) = sum_k 2^(k-1) C(n, k-1) C(x, k), by one integer
+Horner pass in O(n^2) big-int operations; ``poly hz`` prints this row.  Two
+table routes witness it in ``verify hz``: the additive recursion, which in
+the binomial basis C(x, k) is one integer step per row and solves to that
+closed form, with each row converted to monomials for O(n_max^3) in all;
+and, independently, the series exponential of x log((1+z)/(1-z)).
 """
 
 from __future__ import annotations
@@ -169,6 +172,28 @@ class BoundaryPolyTable:
         return self.rows[n](x)
 
 
+def boundary_polynomial(n: int) -> Poly:
+    """p(n, x) alone, from the closed form in the binomial basis.
+
+    With b_k = 2^(k-1) C(n, k-1) (b_0 = 0), p(n, x) = sum_k b_k C(x, k) is
+    evaluated by Horner's scheme in the falling-factorial basis, scaled to
+    integers: H_(n+1) = b_(n+1) = 2^n, H_k = b_k (n+1)!/k! + (x - k) H_(k+1),
+    and p = H_0 / (n+1)!.  Each step is one pass over the coefficient list,
+    so the row costs O(n^2) big-int operations and no other row is built.
+    ``poly hz`` prints this row; ``boundary_polynomials`` and
+    ``boundary_polynomials_independent`` are its witnesses.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    h, scale = [2 ** n], 1  # scale = (n+1)!/k!
+    for k in range(n, -1, -1):
+        scale *= k + 1
+        h = [lo - k * hi for lo, hi in zip([0] + h, h + [0])]  # (x - k) H_(k+1)
+        if k:
+            h[0] += 2 ** (k - 1) * math.comb(n, k - 1) * scale
+    return Poly(Fraction(c, scale) for c in h)
+
+
 def boundary_polynomials(n_max: int) -> BoundaryPolyTable:
     """p(n, x) from the recursion p(n,x) = p(n,x-1) + p(n-1,x) + p(n-1,x-1).
 
@@ -176,7 +201,9 @@ def boundary_polynomials(n_max: int) -> BoundaryPolyTable:
     is an index shift, C(x, k) - C(x-1, k) = C(x-1, k-1), so with p(n, 0) = 0
     the recursion is the integer step b_n[k] = b_{n-1}[k] + 2 b_{n-1}[k-1]
     from b_0 = [0, 1], O(n) additions per row.  Each row goes to monomials
-    once: sum_k b_n[k] (n+1)!/k! x(x-1)...(x-k+1) in integers, over (n+1)!.
+    once: sum_k b_n[k] (n+1)!/k! x(x-1)...(x-k+1) in integers, over (n+1)!,
+    so the table costs O(n_max^3) big-int operations.  It is the recursion
+    witness of ``verify hz``; ``boundary_polynomial`` prints a single row.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")

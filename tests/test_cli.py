@@ -21,7 +21,8 @@ from chordgenus.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
-    MAX_HZ_N,
+    MAX_HZ_POLY_N,
+    MAX_HZ_VERIFY_N,
     MAX_PIPELINE_GENUS,
     MAX_SIGMA,
     MAX_TABLE_ROWS,
@@ -263,7 +264,7 @@ def _coefficient_cases():
     for kind in ("pg", "rg", "qg"):
         for g in range(1, 5):
             yield ("poly", kind, "--g", str(g))
-    for n in range(6):
+    for n in (*range(6), 80):
         yield ("poly", "hz", "--n", str(n))
 
 
@@ -395,9 +396,9 @@ class TestCostLimits:
                 ("asymptotics", "growth", "--g", "1", "--sigma", str(MAX_SIGMA + 1)),
                 MAX_SIGMA,
             ),
-            (("poly", "hz", "--n", str(MAX_HZ_N + 1)), MAX_HZ_N),
-            (("verify", "hz", "--n-max", str(MAX_HZ_N + 1)), MAX_HZ_N),
-            (("verify", "all", "--n-max", str(MAX_HZ_N + 1)), MAX_HZ_N),
+            (("poly", "hz", "--n", str(MAX_HZ_POLY_N + 1)), MAX_HZ_POLY_N),
+            (("verify", "hz", "--n-max", str(MAX_HZ_VERIFY_N + 1)), MAX_HZ_VERIFY_N),
+            (("verify", "all", "--n-max", str(MAX_HZ_VERIFY_N + 1)), MAX_HZ_VERIFY_N),
             (
                 ("series", "dg", "--g", "1", "--sigma", str(MAX_SIGMA + 1), "--order", "10"),
                 MAX_SIGMA,
@@ -424,6 +425,7 @@ class TestCostLimits:
 
         monkeypatch.setattr(cli.asymptotics, "dominant_singularity", no_work)
         monkeypatch.setattr(cli.asymptotics, "macromolecular_growth_ratio", no_work)
+        monkeypatch.setattr(cli.recurrences, "boundary_polynomial", no_work)
         monkeypatch.setattr(cli.recurrences, "boundary_polynomials", no_work)
         monkeypatch.setattr(cli.verify, "run_suite", no_work)
         monkeypatch.setattr(cli.genfunc, "macromolecular_coeffs", no_work)
@@ -433,7 +435,14 @@ class TestCostLimits:
         assert f"exceeds the limit {limit}" in err
 
     def test_the_limits_admit_the_benchmarked_requests(self):
-        assert MAX_SIGMA >= 8 and MAX_HZ_N >= 22
+        # poly hz --n 20..22 and verify hz at its default n-max of 10
+        assert MAX_SIGMA >= 8 and MAX_HZ_POLY_N >= 22 and MAX_HZ_VERIFY_N >= 10
+
+    def test_the_largest_poly_hz_row_prints_under_the_digit_limit(self):
+        # MAX_HZ_POLY_N bounds every p(n, x) that poly hz prints as Fractions
+        limit = 10 ** 4299  # the least int with 4300 digits
+        row = recurrences.boundary_polynomial(MAX_HZ_POLY_N)
+        assert all(abs(c.numerator) < limit and c.denominator < limit for c in row.coeffs)
 
 
 class TestFormulaTablesReadDenseRows:
@@ -620,6 +629,11 @@ class TestPoly:
     def test_hz_example(self, capsys):
         doc = run_json(capsys, "poly", "hz", "--n", "1")
         assert doc["payload"]["coefficients"] == ["0", "0", "1"]
+
+    @pytest.mark.parametrize("n", ["-1", "-2", "-1000000000"])
+    def test_negative_hz_row_is_a_usage_error(self, capsys, n):
+        code, out, err = run_cli(capsys, "poly", "hz", "--n", n)
+        assert (code, out, err) == (EXIT_USAGE, "", "error: n_max must be >= 0\n")
 
     def test_hz_rational_coefficients(self, capsys):
         doc = run_json(capsys, "poly", "hz", "--n", "2")

@@ -203,6 +203,13 @@ class TestGenusPolynomials:
             assert q.valuation() == 2 * g + 2
             assert q(Fraction(1, 4)) != 0
 
+    def test_q_polynomial_is_the_ladder_of_p_g(self):
+        # read from the record of P_(g+1); the ladder of P_g rebuilds it
+        for g in range(1, 31):
+            assert q_polynomial(g) == genfunc._q_from_poly(genus_polynomial(g), g)
+        with pytest.raises(ValueError):
+            q_polynomial(0)
+
     def test_cold_records_need_no_recursion_per_genus(self):
         # built bottom-up, a cold record at genus 12 fits in a stack that a
         # genus-by-genus recursion (about 27 + g frames) would overflow

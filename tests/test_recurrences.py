@@ -8,6 +8,7 @@ import pytest
 from chordgenus.bruteforce import count_by_genus, double_factorial_odd
 from chordgenus.recurrences import (
     BoundaryPolyTable,
+    boundary_polynomial,
     boundary_polynomials,
     boundary_polynomials_independent,
     diagram_count,
@@ -193,15 +194,20 @@ def test_binomial_step_equals_the_antidifference_route():
         assert boundary_polynomials(n).rows == antidifference_rows(n)
 
 
+def counts_at_fixed_n(counts, n):
+    # (2n-1)!! p(n, x) = sum_g c_g(n) x^(n+1-2g), lowest degree first
+    want = [0] * (n + 2)
+    for g in range(n // 2 + 1):
+        want[n + 1 - 2 * g] = counts[g][n]
+    return want
+
+
 def test_boundary_polys_give_every_count_at_fixed_n():
-    # (2n-1)!! p(n, x) = sum_g c_g(n) x^(n+1-2g), read coefficient by
-    # coefficient: one row gives every genus at its n
+    # read coefficient by coefficient: one row gives every genus at its n
     counts = diagram_count_rows(40, 80)
     table = boundary_polynomials(80)
     for n in range(81):
-        want = [0] * (n + 2)
-        for g in range(n // 2 + 1):
-            want[n + 1 - 2 * g] = counts[g][n]
+        want = counts_at_fixed_n(counts, n)
         assert list(table.poly(n).scale(double_factorial_odd(n)).coeffs) == want
 
 
@@ -209,6 +215,29 @@ def test_independent_route_agrees():
     a = boundary_polynomials(9)
     b = boundary_polynomials_independent(9)
     assert a.rows == b.rows
+
+
+def test_single_row_equals_the_recursion_table():
+    table = boundary_polynomials(80)
+    for n in range(81):
+        assert boundary_polynomial(n) == table.poly(n)
+
+
+def test_single_row_equals_the_exp_log_route():
+    rows = boundary_polynomials_independent(12).rows
+    assert tuple(boundary_polynomial(n) for n in range(13)) == rows
+
+
+@pytest.mark.parametrize("n", [200, 400])
+def test_single_row_gives_every_count_past_the_table_bound(n):
+    # the recursion column is the witness where the full table is too slow
+    want = counts_at_fixed_n(diagram_count_rows(n // 2, n), n)
+    assert list(boundary_polynomial(n).scale(double_factorial_odd(n)).coeffs) == want
+
+
+def test_single_row_refuses_a_negative_n():
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        boundary_polynomial(-1)
 
 
 def test_boundary_evaluation_counts_cycles():
