@@ -2,9 +2,10 @@
 
 Every payload renders integers and rationals as decimal strings so that
 consumers with 64-bit number types never corrupt exact values.  JSON is the
-default format; CSV is offered for tables only.  Exit status: 0 all good,
-1 mathematical mismatch, 2 usage or cap error, or a reader that closed
-standard output before the payload was written.
+default format; CSV is offered for tables only.  ``_validate`` holds every
+request to one flag table, ``_TAKES``, before any work starts.  Exit status:
+0 all good, 1 mathematical mismatch, 2 usage or cap error (a stray flag too),
+or a reader that closed standard output before the payload was written.
 """
 
 from __future__ import annotations
@@ -23,15 +24,17 @@ from typing import Iterator
 
 from . import __version__, asymptotics, bruteforce, genfunc, recurrences, verify
 
-# Largest series order or formula n-max (``series --order``, ``table
-# --source formula --n-max``, ``asymptotics growth --n-max``).
+# Largest series order or n-max of a table or a growth ratio (``series
+# --order``, ``table --n-max``, ``asymptotics growth --n-max``); at the cap
+# each takes about 0.1 s in a fresh process unless another cap binds first.
 ORDER_CAP = 1000
-# Largest genus a request may push through the P_g pipeline.  Building
-# P_1..P_g cold takes 0.3 s at g = 30, 0.4-0.5 s at 40, 0.6-0.8 s at 50 and
-# 0.9 s at 60 on a 2-core host; ``table mm --n-max 1000 --g-max 30`` takes
-# 1.6-2.6 s (sigma 1..5, fresh process), most of it in the series' H x tail
-# products, not in building P_g.  ``poly qg --g G`` reads the record of
-# genus G + 1, which holds Q_G.
+# Largest genus a request may push through the P_g pipeline.  In a fresh
+# process on a 2-core host, at g 30 / 40 / 50 / 60 (the cap raised to time):
+#   poly pg|rg|qg, asymptotics constant   0.4 / 0.6 / 0.7-1.0 / 0.9-1.0 s
+#   series dg, growth --sigma 2, to 1000  0.5-0.6 / 0.6-0.8 / 0.8-1.3 / 1.1-1.3 s
+#   verify polys|all --g-max g - 1        1.4-1.9 / 2.2-2.4 / 3.8 / 6.4-7.3 s
+#   table mm --n-max 1000, sigma 1, 2, 5  1.2-2.5 / 3.0-4.2 / 3.6-7.9 / 4.0-10.4 s
+# table mm (its H x tail products, not P_g) sets 30.  poly qg --g G builds P_(G+1).
 MAX_PIPELINE_GENUS = 30
 # Largest number of rows a ``table`` request may print: genera x (n-max + 1),
 # times (n-max + 1) again for cg-m and shapes, with one genus for ``mm --g``.
@@ -65,10 +68,101 @@ MAX_HZ_POLY_N = 1000
 # 0.9-1.0 s at 80 in-process (``verify hz --n-max 80`` 0.8-1.2 s in a fresh
 # process, 2-core host).
 MAX_HZ_VERIFY_N = 80
+GROWTH_N_MAX = 400  # the n of ``asymptotics growth`` without --n-max
+
+# The flags each command kind takes, one row per flag and group of kinds: command,
+# kinds, flag, least value, cap (its constant's name, read at check time), required.
+# A later row for a kind and flag wins; a kind refuses any other flag.
+_SUITES = "|".join(verify.SUITE_NAMES)
+_TAKES = (
+    ("table", "cg|cg-m|shapes|mm", "n_max", 0, "ORDER_CAP", True),
+    ("table", "cg|cg-m|shapes|mm", "g_max", 0, None, False),
+    ("table", "mm", "g", 0, None, False),
+    ("table", "mm", "sigma", 1, "MAX_SIGMA", True),
+    ("poly", "hz", "n", 0, "MAX_HZ_POLY_N", True),
+    ("poly", "pg|rg|qg", "g", 1, "MAX_PIPELINE_GENUS", True),
+    ("series", "cg", "g", 0, None, True),
+    ("series", "dg", "g", 0, "MAX_PIPELINE_GENUS", True),
+    ("series", "dg", "sigma", 1, "MAX_SIGMA", True),
+    ("series", "cg|dg", "order", 0, "ORDER_CAP", True),
+    ("asymptotics", "constant", "g", 1, "MAX_PIPELINE_GENUS", True),
+    ("asymptotics", "singularity", "sigma", 1, "MAX_SIGMA", True),
+    ("asymptotics", "growth", "g", 0, None, True),
+    ("asymptotics", "growth", "sigma", 1, "MAX_SIGMA", False),
+    ("asymptotics", "growth", "n_max", 1, "ORDER_CAP", False),
+    ("verify", _SUITES, "n_max", 1, None, False),
+    ("verify", "hz|all", "n_max", 1, "MAX_HZ_VERIFY_N", False),
+    ("verify", _SUITES, "g_max", 1, None, False),
+    ("verify", _SUITES, "sigma_list", None, "MAX_SIGMA", False),
+)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
+
+
+@functools.cache
+def _flags(command: str, kind: str) -> tuple:
+    """Each flag of ``command`` as (attribute, name without _list, spec for ``kind`` or None)."""
+    rows = [row for row in _TAKES if row[0] == command]
+    takes = {row[2]: row[3:] for row in rows if kind in row[1].split("|")}
+    flags = dict.fromkeys(row[2] for row in rows)
+    return tuple((f, f.removesuffix("_list").replace("_", "-"), takes.get(f)) for f in flags)
+
+
+def _validate(args) -> None:
+    """Refuse, before any work starts, a request that ``_TAKES`` does not admit."""
+
+    def over(name: str, value: int, cap: str) -> None:
+        limit = globals()[cap]
+        if value > limit:
+            word = {"ORDER_CAP": "cap", "MAX_PIPELINE_GENUS": "P_g pipeline limit"}
+            raise ValueError(f"{name} {value} exceeds the {word.get(cap, 'limit')} {limit}")
+
+    kind = args.suite if args.command == "verify" else args.kind
+    for flag, name, spec in _flags(args.command, kind):
+        value = getattr(args, flag)
+        if spec is None:
+            if value is not None:
+                users = "|".join(r[1] for r in _TAKES if r[0] == args.command and r[2] == flag)
+                raise ValueError(f"--{name} applies to {args.command} {users} only")
+            continue
+        least, cap, required = spec
+        if value is None:
+            if required:
+                raise ValueError(f"{args.command} {kind} requires --{name}")
+            continue
+        for v in value if isinstance(value, list) else [value]:
+            if least is not None and v < least:
+                raise ValueError(f"{name} must be >= {least}, got {v}")
+            if cap is not None:
+                over(name, v, cap)
+    # the rules that tie two flags together
+    if args.command == "table":
+        g_max = args.g_max if args.g_max is not None else args.n_max // 2
+        if kind == "mm" and args.source == "formula":  # the formula builds P_g per genus
+            flag, g = ("g", args.g) if args.g is not None else ("g-max", g_max)
+            over(flag, g, "MAX_PIPELINE_GENUS")
+        # every genus up to g-max gets its rows, all zero past n-max // 2
+        genera = 1 if args.g is not None else g_max + 1
+        n_rows = genera * (args.n_max + 1) * (args.n_max + 1 if kind in ("cg-m", "shapes") else 1)
+        if n_rows > MAX_TABLE_ROWS:
+            raise ValueError(
+                f"the table would have {n_rows} rows, over the limit {MAX_TABLE_ROWS}; "
+                "lower --n-max or --g-max"
+            )
+    elif kind == "growth" and args.sigma is not None:
+        over("g", args.g, "MAX_PIPELINE_GENUS")
+    elif kind == "growth" and (args.n_max or GROWTH_N_MAX) < 2 * args.g + 1:
+        raise ValueError(
+            f"n-max must be >= {2 * args.g + 1} for g = {args.g}: "
+            f"c_g(n) vanishes below n = 2g, so the first ratio is at 2g + 1"
+        )
+    elif kind in ("polys", "all") and (args.g_max or 0) + 1 > MAX_PIPELINE_GENUS:
+        raise ValueError(
+            f"--g-max {args.g_max} exceeds {MAX_PIPELINE_GENUS - 1}: verify {kind} runs the "
+            f"P_g pipeline to g-max + 1, and the pipeline limit is {MAX_PIPELINE_GENUS}"
+        )
 
 
 def _fmt(value) -> str:
@@ -76,17 +170,6 @@ def _fmt(value) -> str:
     if isinstance(value, Fraction):
         return str(value)
     return str(int(value))
-
-
-def _check_limit(value: int, limit: int, flag: str, what: str = "limit") -> None:
-    """Refuse a parameter above its cost limit before any work starts."""
-    if value > limit:
-        raise ValueError(f"{flag} {value} exceeds the {what} {limit}")
-
-
-def _check_pipeline_genus(g: int, flag: str) -> None:
-    """Refuse a genus the P_g pipeline would take too long to reach."""
-    _check_limit(g, MAX_PIPELINE_GENUS, flag, "P_g pipeline limit")
 
 
 def _document(command: str, parameters: dict, payload: dict, started: float) -> dict:
@@ -131,7 +214,7 @@ def _table_rows(args) -> tuple[tuple[str, ...], Iterator[tuple]]:
     genera = range(g_max + 1)
     ns = range(n_max + 1)
     oracle = args.source == "oracle"
-    cls = args.table_class
+    cls = args.kind
     if cls == "cg":
         if oracle:
             count = bruteforce.count_by_genus(n_max).count
@@ -157,8 +240,6 @@ def _table_rows(args) -> tuple[tuple[str, ...], Iterator[tuple]]:
             for n, row in enumerate(grid)
             for m, v in enumerate(row)
         )
-    if args.sigma is None:
-        raise ValueError("table mm requires --sigma")
     sigma = args.sigma
     if args.g is not None:
         genera = (args.g,)
@@ -224,35 +305,11 @@ def _emit_coefficients(doc: dict, coeffs, stream) -> None:
 
 def cmd_table(args, stream) -> int:
     started = time.perf_counter()
-    for flag, value in (("n-max", args.n_max), ("g-max", args.g_max), ("g", args.g)):
-        if value is not None and value < 0:
-            raise ValueError(f"{flag} must be >= 0")
-    if args.g is not None and args.table_class != "mm":
-        raise ValueError("--g applies to table mm only; use --g-max")
-    if args.sigma is not None:
-        _check_limit(args.sigma, MAX_SIGMA, "sigma")
-    g_max = args.g_max if args.g_max is not None else args.n_max // 2
-    bivariate = args.table_class in ("cg-m", "shapes")
-    if args.source == "formula":
-        _check_limit(args.n_max, ORDER_CAP, "n-max", "cap")
-        if args.table_class == "mm":
-            if args.g is not None:
-                _check_pipeline_genus(args.g, "g")
-            else:
-                _check_pipeline_genus(g_max, "g-max")
-    # every genus up to g-max gets its rows, all zero past n-max // 2
-    genera = 1 if args.g is not None else g_max + 1
-    n_rows = genera * (args.n_max + 1) * (args.n_max + 1 if bivariate else 1)
-    if n_rows > MAX_TABLE_ROWS:
-        raise ValueError(
-            f"the table would have {n_rows} rows, over the limit {MAX_TABLE_ROWS}; "
-            "lower --n-max or --g-max"
-        )
     fieldnames, rows = _table_rows(args)
     params = {
-        "class": args.table_class,
+        "class": args.kind,
         "n_max": args.n_max,
-        "g_max": g_max,
+        "g_max": args.g_max if args.g_max is not None else args.n_max // 2,
         "source": args.source,
     }
     if args.sigma is not None:
@@ -271,27 +328,16 @@ def cmd_table(args, stream) -> int:
 
 def cmd_poly(args, stream) -> int:
     started = time.perf_counter()
-    if args.poly_kind == "hz":
-        if args.n is None:
-            raise ValueError("poly hz requires --n")
-        _check_limit(args.n, MAX_HZ_POLY_N, "n")
-        if args.n < 0:  # the usage error keeps its established wording
-            raise ValueError("n_max must be >= 0")
+    if args.kind == "hz":
         poly = recurrences.boundary_polynomial(args.n)
-        params = {"kind": "hz", "n": args.n}
+    elif args.kind == "pg":
+        poly = genfunc.genus_polynomial(args.g)
+    elif args.kind == "rg":
+        poly = genfunc.reduced_genus_polynomial(args.g)
     else:
-        if args.g is None:
-            raise ValueError(f"poly {args.poly_kind} requires --g")
-        if args.g < 1:
-            raise ValueError("g must be >= 1")
-        _check_pipeline_genus(args.g, "g")
-        if args.poly_kind == "pg":
-            poly = genfunc.genus_polynomial(args.g)
-        elif args.poly_kind == "rg":
-            poly = genfunc.reduced_genus_polynomial(args.g)
-        else:
-            poly = genfunc.q_polynomial(args.g)
-        params = {"kind": args.poly_kind, "g": args.g}
+        poly = genfunc.q_polynomial(args.g)
+    size = "n" if args.kind == "hz" else "g"
+    params = {"kind": args.kind, size: getattr(args, size)}
     doc = _document("poly", params, {"coefficients": []}, started)
     _emit_coefficients(doc, poly.coeffs, stream)
     return EXIT_OK
@@ -304,24 +350,12 @@ def cmd_poly(args, stream) -> int:
 
 def cmd_series(args, stream) -> int:
     started = time.perf_counter()
-    _check_limit(args.order, ORDER_CAP, "order", "cap")
-    if args.order < 0:
-        raise ValueError("order must be >= 0")
-    if args.series_target == "cg":
+    if args.kind == "cg":
         coeffs = genfunc.genus_coeffs(args.g, args.order)
         params = {"target": "cg", "g": args.g, "order": args.order}
     else:
-        if args.sigma is None:
-            raise ValueError("series dg requires --sigma")
-        _check_limit(args.sigma, MAX_SIGMA, "sigma")
-        _check_pipeline_genus(args.g, "g")
         coeffs = genfunc.macromolecular_coeffs(args.g, args.sigma, args.order)
-        params = {
-            "target": "dg",
-            "g": args.g,
-            "sigma": args.sigma,
-            "order": args.order,
-        }
+        params = {"target": "dg", "g": args.g, "sigma": args.sigma, "order": args.order}
     doc = _document("series", params, {"coefficients": []}, started)
     _emit_coefficients(doc, coeffs, stream)
     return EXIT_OK
@@ -334,10 +368,7 @@ def cmd_series(args, stream) -> int:
 
 def cmd_asymptotics(args, stream) -> int:
     started = time.perf_counter()
-    if args.asym_kind == "constant":
-        if args.g is None:
-            raise ValueError("asymptotics constant requires --g")
-        _check_pipeline_genus(args.g, "g")
+    if args.kind == "constant":
         est = asymptotics.leading_constant(args.g)
         payload = {
             "exponent": _fmt(est.power),
@@ -351,10 +382,7 @@ def cmd_asymptotics(args, stream) -> int:
             "form": f"{est.rational_factor} / sqrt(pi)",
         }
         params = {"kind": "constant", "g": args.g}
-    elif args.asym_kind == "singularity":
-        if args.sigma is None:
-            raise ValueError("asymptotics singularity requires --sigma")
-        _check_limit(args.sigma, MAX_SIGMA, "sigma")
+    elif args.kind == "singularity":
         iso = asymptotics.dominant_singularity(args.sigma)
         growth = iso.reciprocal_interval()
         payload = {
@@ -373,25 +401,11 @@ def cmd_asymptotics(args, stream) -> int:
         }
         params = {"kind": "singularity", "sigma": args.sigma}
     else:
-        if args.g is None:
-            raise ValueError("asymptotics growth requires --g")
-        n = args.n_max
-        if args.g < 0:
-            raise ValueError(f"g must be >= 0, got {args.g}")
-        if n < 1:
-            raise ValueError(f"n-max must be >= 1: the growth ratio needs terms n-1 and n, got {n}")
-        _check_limit(n, ORDER_CAP, "n-max", "cap")
+        n = args.n_max or GROWTH_N_MAX
         if args.sigma is None:
-            if n < 2 * args.g + 1:
-                raise ValueError(
-                    f"n-max must be >= {2 * args.g + 1} for g = {args.g}: "
-                    f"c_g(n) vanishes below n = 2g, so the first ratio is at 2g + 1"
-                )
             ratio = asymptotics.diagram_growth_ratio(args.g, n)
             reference = "4"
         else:
-            _check_pipeline_genus(args.g, "g")
-            _check_limit(args.sigma, MAX_SIGMA, "sigma")
             ratio = asymptotics.macromolecular_growth_ratio(args.g, args.sigma, n)
             reference = _fmt(
                 asymptotics.macromolecular_growth_interval(args.sigma).midpoint()
@@ -417,21 +431,8 @@ def cmd_asymptotics(args, stream) -> int:
 
 def cmd_verify(args, stream) -> int:
     started = time.perf_counter()
-    # the polys suite (also run by "all") takes both P_g routes to g-max + 1
-    if args.suite in ("polys", "all") and (args.g_max or 0) + 1 > MAX_PIPELINE_GENUS:
-        raise ValueError(
-            f"--g-max {args.g_max} exceeds {MAX_PIPELINE_GENUS - 1}: verify "
-            f"{args.suite} runs the P_g pipeline to g-max + 1, and the "
-            f"pipeline limit is {MAX_PIPELINE_GENUS}"
-        )
-    if args.suite in ("hz", "all"):
-        _check_limit(args.n_max or 0, MAX_HZ_VERIFY_N, "--n-max")
-    if args.sigma_list:
-        _check_limit(max(args.sigma_list), MAX_SIGMA, "--sigma")
     sigmas = tuple(args.sigma_list) if args.sigma_list else None
-    results = verify.run_suite(
-        args.suite, n_max=args.n_max, g_max=args.g_max, sigmas=sigmas
-    )
+    results = verify.run_suite(args.suite, n_max=args.n_max, g_max=args.g_max, sigmas=sigmas)
     if args.format == "json":
         payload = {
             "checks": [
@@ -476,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="emit a counting table")
     p_table.add_argument(
-        "table_class",
+        "kind",
         metavar="class",
         choices=["cg", "cg-m", "shapes", "mm"],
         help="cg: by genus; cg-m: by genus and 1-chords; shapes; mm: macromolecular",
@@ -491,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_poly = sub.add_parser("poly", help="emit an exact polynomial")
     p_poly.add_argument(
-        "poly_kind",
+        "kind",
         metavar="kind",
         choices=["pg", "rg", "qg", "hz"],
         help="pg/rg/qg: numerator polynomials by genus; hz: boundary-count polynomial",
@@ -501,19 +502,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_poly.set_defaults(func=cmd_poly)
 
     p_series = sub.add_parser("series", help="expand a generating function")
-    p_series.add_argument("series_target", metavar="target", choices=["cg", "dg"])
+    p_series.add_argument("kind", metavar="target", choices=["cg", "dg"])
     p_series.add_argument("--g", type=int, required=True)
     p_series.add_argument("--sigma", type=int, default=None)
     p_series.add_argument("--order", type=int, required=True)
     p_series.set_defaults(func=cmd_series)
 
     p_asym = sub.add_parser("asymptotics", help="growth constants and singularities")
-    p_asym.add_argument(
-        "asym_kind", metavar="kind", choices=["constant", "singularity", "growth"]
-    )
+    p_asym.add_argument("kind", metavar="kind", choices=["constant", "singularity", "growth"])
     p_asym.add_argument("--g", type=int, default=None)
     p_asym.add_argument("--sigma", type=int, default=None)
-    p_asym.add_argument("--n-max", type=int, default=400)
+    p_asym.add_argument("--n-max", type=int, default=None)
     p_asym.set_defaults(func=cmd_asymptotics)
 
     p_verify = sub.add_parser("verify", help="run cross-check suites")
@@ -537,6 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _validate(args)
         code = args.func(args, sys.stdout)
         sys.stdout.flush()
         return code
