@@ -18,19 +18,27 @@ paths and closed cycles while chords are placed: each chord adds two edges,
 and each edge either closes a cycle or joins two paths in O(1), undone on
 backtrack.  An unmatched vertex u adds the edge u -> u+1, which yields the
 cycles of the diagram with unmatched vertices deleted, without renumbering.
-The 1-chord count and the running stack size are kept the same way, free
-vertices sit in a linked list, and the forced last chord is unrolled.  The
-cost is O(1) amortized per search node, against O(n) per leaf for the
+The 1-chord count and the running stack size are kept the same way, and
+free vertices sit in a linked list.  A full matching closes its last two
+chords in one step: at four undecided vertices a < b < c < d the four open
+paths are fixed, and so is the order in which they lead into each other, so
+the cycles each of the three matchings ab|cd, ac|bd and ad|bc closes come
+from a 24 x 3 table built at import; the 1-chords and the shape test come
+from the positions of a..d.  The search thus stops at four undecided
+vertices: at n = 7 it makes 55 497 loop passes and 45 045 closing steps,
+where placing the last two chords one by one takes 190 632 loop passes.
+The cost is O(1) amortized per search node, against O(n) per leaf for the
 cycle walk a diagram-by-diagram classification needs.
 
 Pruning cuts only subtrees that hold no member of the class: the shape
 table never places a chord directly inside its neighbour (that would stack
-two chords), the macromolecular table never places a 1-chord.  Every diagram
-of the class is still visited.
+two chords), nor closes (b, c) right inside (a, d); the macromolecular
+table never places a 1-chord.  Every diagram of the class is still visited.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -142,6 +150,36 @@ def _matchings(length: int, partial: bool) -> Iterator[list[int]]:
 # the counting search
 # ---------------------------------------------------------------------------
 
+# The three matchings ab|cd, ac|bd and ad|bc of four points 0 < 1 < 2 < 3.
+_FOUR_MATCHINGS = ((1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
+
+
+def _closing_table() -> tuple:
+    # Four open paths, their tails ranked 0..3: the path whose head follows
+    # tail x (the vertex x + 1) ends at tail t[x].  A matching mu adds the
+    # edges x -> mu(x) + 1, so it closes the cycles of x -> t[mu[x]].  Entry
+    # t[0] << 4 | t[1] << 2 | t[2] holds that count for each mu; indices no
+    # permutation t takes hold None.
+    table: list = [None] * 64
+    for t in itertools.permutations(range(4)):
+        row = []
+        for mu in _FOUR_MATCHINGS:
+            seen = [False] * 4
+            cycles = 0
+            for start in range(4):
+                x = start
+                if not seen[x]:
+                    cycles += 1
+                    while not seen[x]:
+                        seen[x] = True
+                        x = t[mu[x]]
+            row.append(cycles)
+        table[t[0] << 4 | t[1] << 2 | t[2]] = tuple(row)
+    return tuple(table)
+
+
+_CLOSES = _closing_table()
+
 
 def _tabulate(
     length: int, *, shapes: bool = False, sigma_max: int = 0
@@ -172,6 +210,7 @@ def _tabulate(
     nxt[length] = 0
     prv = list(range(-1, length))
     prv[0] = length
+    rank = [0] * length  # the order of the four undecided vertices of a closing step
 
     def visit(left: int, cyc: int, k: int, m: int, run: int, low: int) -> None:
         # `left` vertices are undecided; `run` is the size of the stack whose
@@ -226,11 +265,11 @@ def _tabulate(
                 elif size < low1:
                     low1 = size
             # the boundary edges i -> j+1 and j -> i+1
-            c = cyc
+            cyc1 = cyc
             succ = j + 1 if j < last else 0
             head1 = other[i]
             if head1 == succ:
-                c += 1
+                cyc1 += 1
                 tail1 = -1
             else:
                 tail1 = other[succ]
@@ -238,7 +277,7 @@ def _tabulate(
                 other[tail1] = head1
             head2 = other[j]
             if head2 == i + 1:
-                c += 1
+                cyc1 += 1
                 tail2 = -1
             else:
                 tail2 = other[i + 1]
@@ -246,27 +285,49 @@ def _tabulate(
                 other[tail2] = head2
             rest = left - 2
             if rest == 0:
-                key = (c, k + 1, m + one, low1)
+                key = (cyc1, k + 1, m + one, low1)
                 counts[key] = counts.get(key, 0) + 1
             elif rest == 1:
                 # the one undecided vertex stays unmatched and closes the
                 # last open path
                 if 0 < run1 < low1:
                     low1 = run1
-                key = (c + 1, k + 1, m + one, low1)
+                key = (cyc1 + 1, k + 1, m + one, low1)
                 counts[key] = counts.get(key, 0) + 1
-            elif rest == 2 and not partial:
-                # the forced last chord (a, b): the two open paths either
-                # run a..b+1 and b..a+1 (two cycles close) or a..a+1 and
-                # b..b+1 (they join into one)
+            elif rest == 4 and not partial:
+                # the last two chords in one step: the open paths run from
+                # the heads x+1 to the tails T(x) = other[x+1] of the four
+                # undecided x, and each matching mu closes the cycles of
+                # x -> T(mu(x)), read off the table by the order of T
                 a = nxt[length]
                 b = nxt[a]
-                if not (shapes and partner[a - 1] == b + 1):
-                    closes = 2 if other[a] == (b + 1 if b < last else 0) else 1
-                    key = (c + closes, k + 2, m + one + (b == a + 1), low1)
+                c = nxt[b]
+                d = nxt[c]
+                rank[a] = 0
+                rank[b] = 1
+                rank[c] = 2
+                rank[d] = 3
+                ab_cd, ac_bd, ad_bc = _CLOSES[
+                    rank[other[a + 1]] << 4 | rank[other[b + 1]] << 2 | rank[other[c + 1]]
+                ]
+                k1 = k + 3
+                m1 = m + one
+                # A shape stacks no chord: a may not take the vertex right
+                # inside the chord around it, and (b, c) may not sit right
+                # inside (a, d).  No other new chord can stack, since every
+                # decided vertex past a has its partner before a.
+                barred = partner[a - 1] - 1 if shapes else -1
+                if barred != b:
+                    key = (cyc1 + ab_cd, k1, m1 + (b == a + 1) + (d == c + 1), low1)
+                    counts[key] = counts.get(key, 0) + 1
+                if barred != c:
+                    key = (cyc1 + ac_bd, k1, m1, low1)
+                    counts[key] = counts.get(key, 0) + 1
+                if barred != d and not (shapes and b == a + 1 and c == d - 1):
+                    key = (cyc1 + ad_bc, k1, m1 + (c == b + 1), low1)
                     counts[key] = counts.get(key, 0) + 1
             else:
-                visit(rest, c, k + 1, m + one, run1, low1)
+                visit(rest, cyc1, k + 1, m + one, run1, low1)
             if tail2 >= 0:
                 other[head2] = j
                 other[tail2] = i + 1

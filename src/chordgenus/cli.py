@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from . import __version__, asymptotics, bruteforce, genfunc, recurrences, verify
+from .bruteforce import DEFAULT_FULL_CAP, DEFAULT_PARTIAL_CAP  # caps that _TAKES names
 
 # Largest series order or n-max of a table or a growth ratio (``series
 # --order``, ``table --n-max``, ``asymptotics growth --n-max``); at the cap
@@ -47,7 +48,9 @@ MAX_PIPELINE_GENUS = 30
 #                0.9 s, 0.7 s
 #   cg-m, shapes n-max 83, every genus: 296 k rows 0.8 s, 0.9 s;
 #                n-max 546 at g-max 0: 299 k rows 2.7 s, 3.2 s
-#   oracle       n-max 8: 450 k rows of cg 4.7 s, 405 k of shapes 3.6 s
+#   oracle       n-max 8, fresh process: 45 rows of cg 1.2 s, 405 of cg-m
+#                1.2 s and of shapes 0.9 s, nearly all of it the enumeration
+#                (its safety cap 8 binds long before the row bound)
 # so the bound admits cg up to n-max 773 (about 1.5 s), cg-m and shapes up to
 # n-max 83 over every genus, and no table of millions of zero rows.
 MAX_TABLE_ROWS = 300_000
@@ -91,9 +94,11 @@ _TAKES = (
     ("asymptotics", "growth", "sigma", 1, "MAX_SIGMA", False),
     ("asymptotics", "growth", "n_max", 1, "ORDER_CAP", False),
     ("verify", _SUITES, "n_max", 1, None, False),
-    ("verify", "hz|all", "n_max", 1, "MAX_HZ_VERIFY_N", False),
+    ("verify", "hz", "n_max", 1, "MAX_HZ_VERIFY_N", False),
+    ("verify", "oracle|shapes|all", "n_max", 1, "DEFAULT_FULL_CAP", False),
+    ("verify", "mm", "n_max", 1, "DEFAULT_PARTIAL_CAP", False),
     ("verify", _SUITES, "g_max", 1, None, False),
-    ("verify", _SUITES, "sigma_list", None, "MAX_SIGMA", False),
+    ("verify", _SUITES, "sigma_list", 1, "MAX_SIGMA", False),
 )
 
 EXIT_OK = 0
@@ -153,6 +158,13 @@ def _validate(args) -> None:
             )
     elif kind == "growth" and args.sigma is not None:
         over("g", args.g, "MAX_PIPELINE_GENUS")
+        first = 4 * args.sigma * args.g + 1
+        if (args.n_max or GROWTH_N_MAX) < first:
+            raise ValueError(
+                f"n-max must be >= {first} for g = {args.g}, sigma = {args.sigma}: "
+                "d_g,sigma(n) vanishes below n = 4 sigma g, so the first ratio is at "
+                "4 sigma g + 1"
+            )
     elif kind == "growth" and (args.n_max or GROWTH_N_MAX) < 2 * args.g + 1:
         raise ValueError(
             f"n-max must be >= {2 * args.g + 1} for g = {args.g}: "

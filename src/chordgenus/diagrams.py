@@ -15,6 +15,7 @@ where tau o iota goes in the subdiagram: the cycles are the subdiagram's.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Sequence
 
 Pair = tuple[int, int]
@@ -23,24 +24,28 @@ _UNMATCHED = -1
 
 
 def _cycle_count(partners: Sequence[int]) -> int:
-    # cycles of v -> (partners[v] + 1) mod L on 0-indexed vertices, an
-    # unmatched vertex standing in for its own partner
+    # cycles of v -> iota(v + 1) on 0-indexed vertices mod L, iota the
+    # partner map with an unmatched vertex standing in for its own partner;
+    # the map is conjugate to v -> iota(v) + 1.  Each vertex walked is
+    # crossed out of the successor list.
     length = len(partners)
     if length == 0:
         return 1  # the empty diagram bounds a single face
-    seen = bytearray(length)
+    last = length - 1
+    succ = [*partners[1:], partners[0]]  # iota(v + 1), -1 if v + 1 is unmatched
     cycles = 0
     for start in range(length):
-        if seen[start]:
+        w = succ[start]
+        if w is None:
             continue
         cycles += 1
         v = start
-        while not seen[v]:
-            seen[v] = 1
-            w = partners[v] + 1
-            if not w:  # unmatched
-                w = v + 1
-            v = w if w < length else 0
+        while w is not None:
+            succ[v] = None
+            if w < 0:
+                w = v + 1 if v < last else 0
+            v = w
+            w = succ[v]
     return cycles
 
 
@@ -171,7 +176,8 @@ class _Diagram:
 
     def one_chord_count(self) -> int:
         """Chords joining neighbouring vertices."""
-        return sum(1 for v, p in enumerate(self.partners) if p == v + 1)
+        p = self.partners
+        return sum(map(operator.eq, p, range(1, len(p) + 1)))
 
     def boundary_cycles(self) -> int:
         """Boundary cycles of the matched subdiagram (1 without chords)."""

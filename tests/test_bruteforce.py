@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from chordgenus import genfunc
 from chordgenus.bruteforce import (
     DEFAULT_FULL_CAP,
     DEFAULT_PARTIAL_CAP,
@@ -134,7 +135,10 @@ def test_negative_n_max_is_rejected():
 
 def test_full_tables_match_public_stream_tallies():
     # the search tracks cycles, 1-chords and stacking incrementally; the
-    # stream classifies each diagram from scratch through ChordDiagram
+    # stream classifies each diagram from scratch through ChordDiagram.
+    # n <= 6 reaches all 24 tail orders of the closing step's table (4, 10,
+    # 19 and 24 distinct at n = 3..6; n = 2 closes through the loop), in
+    # full and in shape mode.
     n_max = 6
     joint, shapes = Counter(), Counter()
     for n in range(n_max + 1):
@@ -149,6 +153,22 @@ def test_full_tables_match_public_stream_tallies():
     assert count_by_genus_onechords(n_max).entries == dict(joint)
     assert count_shapes(n_max).entries == dict(shapes)
     assert count_by_genus(n_max).entries == dict(plain)
+
+
+def test_full_tables_at_n7_match_the_bivariate_series():
+    # an independent route one chord past the stream test: the coefficients
+    # of C_g(x, y) and S_g(z, u) at x^7 and z^7, y and u marking 1-chords
+    n = 7
+    joint = count_by_genus_onechords(n)
+    shapes = count_shapes(n)
+    for g in range(n // 2 + 1):
+        assert [joint.count(g, n, m) for m in range(n + 1)] == (
+            genfunc.diagram_bivariate_rows(g, n, n)[n]
+        ), g
+        assert [shapes.count(g, n, m) for m in range(n + 1)] == (
+            genfunc.shape_bivariate_rows(g, n, n)[n]
+        ), g
+    assert joint.total(n) == double_factorial_odd(n)  # no genus past n // 2
 
 
 def test_macromolecular_tables_match_partial_stream_tallies():

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import chordgenus
 from chordgenus import asymptotics, bruteforce, cli, genfunc, recurrences, verify
+from chordgenus.bruteforce import DEFAULT_FULL_CAP, DEFAULT_PARTIAL_CAP
 from chordgenus.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
@@ -457,7 +458,10 @@ _AT_CAP_NOT_RUN = {
     "asymptotics singularity --sigma 40": "about 3 s, the Sturm chain",
     "asymptotics growth --g 0 --sigma 40": "about 3 s, the Sturm chain",
     "verify hz --n-max 80": "about 1 s, the exp/log witness",
-    "verify all --n-max 80": "the oracle suite refuses n-max past its safety cap 8",
+    "verify oracle --n-max 8": "about 1.4 s, the full-matching oracle at n = 8",
+    "verify shapes --n-max 8": "about 2.7 s, two full-matching oracles at n = 8",
+    "verify all --n-max 8": "about 1.3 s, the full-matching oracle at n = 8",
+    "verify mm --n-max 14": "about 1.7 s, the partial-matching oracle at n = 14",
 }
 
 
@@ -515,7 +519,8 @@ class TestCostLimits:
                 ),
                 (("poly", "hz", "--n", str(MAX_HZ_POLY_N + 1)), MAX_HZ_POLY_N),
                 (("verify", "hz", "--n-max", str(MAX_HZ_VERIFY_N + 1)), MAX_HZ_VERIFY_N),
-                (("verify", "all", "--n-max", str(MAX_HZ_VERIFY_N + 1)), MAX_HZ_VERIFY_N),
+                (("verify", "all", "--n-max", str(DEFAULT_FULL_CAP + 1)), DEFAULT_FULL_CAP),
+                (("verify", "mm", "--n-max", str(DEFAULT_PARTIAL_CAP + 1)), DEFAULT_PARTIAL_CAP),
                 (
                     ("series", "dg", "--g", "1", "--sigma", str(MAX_SIGMA + 1), "--order", "10"),
                     MAX_SIGMA,
@@ -963,8 +968,9 @@ class TestAsymptotics:
                 "so the first ratio is at 2g + 1\n",
             ),
             (
-                ("--g", "1", "--sigma", "2", "--n-max", "2"),
-                "error: no adjacent nonzero pair at or below index 2\n",
+                ("--g", "1", "--sigma", "2", "--n-max", "8"),
+                "error: n-max must be >= 9 for g = 1, sigma = 2: d_g,sigma(n) vanishes "
+                "below n = 4 sigma g, so the first ratio is at 4 sigma g + 1\n",
             ),
         ],
     )
@@ -977,6 +983,17 @@ class TestAsymptotics:
         assert doc["payload"]["ratio"] == "1"
         doc = run_json(capsys, "asymptotics", "growth", "--g", "2", "--n-max", "5")
         assert doc["payload"]["ratio"] == "23"  # c_2(5) / c_2(4) = 483 / 21
+
+    @pytest.mark.parametrize("g, sigma", [(1, 2), (2, 1), (1, 3)])
+    def test_sigma_growth_from_the_first_ratio_on(self, capsys, g, sigma):
+        # d_g,sigma(n) is first nonzero at n = 4 sigma g
+        first = 4 * sigma * g + 1
+        argv = ("asymptotics", "growth", "--g", str(g), "--sigma", str(sigma), "--n-max")
+        code, out, err = run_cli(capsys, *argv, str(first - 1))
+        assert code == EXIT_USAGE and out == "" and f"n-max must be >= {first}" in err
+        ratio = Fraction(run_json(capsys, *argv, str(first))["payload"]["ratio"])
+        coeffs = genfunc.macromolecular_coeffs(g, sigma, first)
+        assert coeffs[first - 2] == 0 and ratio == Fraction(coeffs[first], coeffs[first - 1])
 
 
 class TestVerify:
