@@ -5,10 +5,19 @@ the generating-function side is consulted.  Enumeration is deterministic
 (the lowest free vertex is paired first, partners in ascending order), so
 two runs build identical tables.  A ``GenusTable`` holds its class tag, its
 chord range n_max, its entries, whether they carry the 1-chord index, and the
-genus range g_max (None here: an enumeration sees every genus).  The public
-streams come lazily from ``_matchings``, one loop over an explicit stack, and
-wrap its arrays without validating them again.  Every oracle refuses an n past
-its fixed safety cap, ``DEFAULT_FULL_CAP`` or ``DEFAULT_PARTIAL_CAP``.
+genus range g_max (None here: an enumeration sees every genus).  Every
+oracle refuses an n past its fixed safety cap, ``DEFAULT_FULL_CAP`` or
+``DEFAULT_PARTIAL_CAP``.
+
+The public streams come lazily from ``_arrays``.  A depth-first walk over an
+explicit stack places chords until 8 vertices are undecided (or 7, which a
+partial matching can skip to), then hands out that node's completions from
+a table of the canonical matchings of 8 points, built at import.  Each
+diagram costs two C-level gathers, one per completion for the undecided
+vertices and one per node that puts them among the decided ones, and no
+Python step per vertex: at n = 7 the walk visits 1 + 13 + 143 nodes and
+hands out 105 completions at each of 1287.  The streams wrap the arrays
+through ``diagrams._trusted``, without validating them again.
 
 The counting tables come from one depth-first search, ``_tabulate``, that
 serves full matchings (2n points) and partial matchings (n points).  It
@@ -28,7 +37,10 @@ from the positions of a..d.  The search thus stops at four undecided
 vertices: at n = 7 it makes 55 497 loop passes and 45 045 closing steps,
 where placing the last two chords one by one takes 190 632 loop passes.
 The cost is O(1) amortized per search node, against O(n) per leaf for the
-cycle walk a diagram-by-diagram classification needs.
+cycle walk a diagram-by-diagram classification needs.  Each tally, one per
+point count and mode, is searched once per process and handed out
+read-only, so every table, verify suite and request after the first reads
+it without searching.
 
 Pruning cuts only subtrees that hold no member of the class: the shape
 table never places a chord directly inside its neighbour (that would stack
@@ -38,11 +50,19 @@ table never places a 1-chord.  Every diagram of the class is still visited.
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import permutations, repeat
+from operator import add, itemgetter
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
-from .diagrams import ChordDiagram, PartialDiagram, _genus_of
+from .diagrams import ChordDiagram, PartialDiagram, _genus_of, _trusted
+
+try:
+    from operator import call as _call
+except ImportError:  # Python 3.10: the slot wrapper does the same, more slowly
+    _call = itemgetter.__call__
 
 DEFAULT_FULL_CAP = 8
 DEFAULT_PARTIAL_CAP = 14
@@ -105,25 +125,87 @@ class GenusTable:
 
 
 # ---------------------------------------------------------------------------
-# the stream generator; it yields a shared mutable partner list for speed
+# the stream: a depth-first walk that closes its last chords from a table
 # ---------------------------------------------------------------------------
 
+# The walk stops at _CLOSE undecided vertices, or at _CLOSE - 1, which a
+# partial matching can skip to, and hands out that node's completions.
+_CLOSE = 8
 
-def _matchings(length: int, partial: bool) -> Iterator[list[int]]:
+
+def _canonical(size: int, partial: bool) -> list[tuple[int, ...]]:
+    # every matching of `size` points as a partner tuple, in canonical order
+    partner = [-1] * size
+    out = []
+
+    def place(i: int) -> None:
+        while i < size and partner[i] >= 0:
+            i += 1
+        if i == size:
+            out.append(tuple(partner))
+            return
+        if partial:
+            place(i + 1)  # leave i unmatched
+        for j in range(i + 1, size):
+            if partner[j] < 0:
+                partner[i] = j
+                partner[j] = i
+                place(i + 1)
+                partner[j] = -1
+        partner[i] = -1
+
+    place(0)
+    return out
+
+
+# The matchings of k < _CLOSE points, in canonical order, are those of
+# _CLOSE points whose last _CLOSE - k points take the first completion
+# (all unmatched, or paired as (k, k+1), (k+2, k+3), ...), cut to k points.
+_COMPLETIONS = {partial: _canonical(_CLOSE, partial) for partial in (False, True)}
+# A completion s of the undecided vertices u_0 < ... < u_(k-1) of a node
+# gives u_t the partner u_(s[t]), or none when s[t] is -1, so itemgetter(*s)
+# reads them all from (u_0, ..., u_(k-1), -1).  A partial node of
+# _CLOSE - 1 vertices takes the completions that leave the last of _CLOSE
+# points unmatched; that point reads the padding -1.
+_GATHERS = {(p, _CLOSE): [itemgetter(*s) for s in _COMPLETIONS[p]] for p in (False, True)}
+_GATHERS[True, _CLOSE - 1] = [
+    gather for gather, s in zip(_GATHERS[True, _CLOSE], _COMPLETIONS[True]) if s[-1] < 0
+]
+
+
+def _arrays(length: int, partial: bool) -> Iterator[tuple[int, ...]]:
+    """Every matching of ``length`` points as a partner tuple, in canonical order."""
+    if length <= _CLOSE:
+        completions = _COMPLETIONS[partial]
+        first = completions[0][length:]
+        yield from (s[:length] for s in completions if s[length:] == first)
+        return
     # Depth-first over the lowest undecided vertex i.  Its options, in order,
     # are i itself (left unmatched, partial only) and each free j > i; `lows`
-    # holds the decided vertices, partner[i] the option taken (-1 for i).
+    # holds the decided vertices, partner[i] the option taken (-1 for i), and
+    # `left` counts the undecided vertices, all of them at i or past it.
     partner = [-1] * length
     lows: list[int] = []
+    left = length
     i = 0
     while True:
-        while i < length and partner[i] >= 0:
+        while partner[i] >= 0:
             i += 1
-        if i < length:
+        if left > _CLOSE:
             j = i if partial else i + 1
         else:
-            yield partner
-            j = length  # every vertex is decided: backtrack
+            # each completion gathers _CLOSE partners for the undecided
+            # vertices, and one gather per node puts them among the decided
+            # vertices' partners
+            undecided = [v for v in range(i, length) if partner[v] < 0]
+            gathers = _GATHERS[partial, len(undecided)]
+            order = list(range(_CLOSE, _CLOSE + length))
+            for t, v in enumerate(undecided):
+                order[v] = t
+            undecided += [-1] * (_CLOSE + 1 - len(undecided))
+            gathered = map(_call, gathers, repeat(tuple(undecided)))
+            yield from map(itemgetter(*order), map(add, gathered, repeat(tuple(partner))))
+            j = length  # backtrack
         # take the first free option from j on, backtracking while there is none
         while True:
             while j < length and partner[j] >= 0:
@@ -136,12 +218,17 @@ def _matchings(length: int, partial: bool) -> Iterator[list[int]]:
             j = partner[i]
             if j < 0:
                 j = i
+                left += 1
             else:
                 partner[i] = partner[j] = -1
+                left += 2
             j += 1
         if j > i:
             partner[i] = j
             partner[j] = i
+            left -= 2
+        else:
+            left -= 1
         lows.append(i)
         i += 1
 
@@ -161,7 +248,7 @@ def _closing_table() -> tuple:
     # t[0] << 4 | t[1] << 2 | t[2] holds that count for each mu; indices no
     # permutation t takes hold None.
     table: list = [None] * 64
-    for t in itertools.permutations(range(4)):
+    for t in permutations(range(4)):
         row = []
         for mu in _FOUR_MATCHINGS:
             seen = [False] * 4
@@ -181,24 +268,26 @@ def _closing_table() -> tuple:
 _CLOSES = _closing_table()
 
 
-def _tabulate(
-    length: int, *, shapes: bool = False, sigma_max: int = 0
-) -> dict[tuple[int, int, int, int], int]:
+@functools.cache
+def _tabulate(length: int, mode: str) -> Mapping[tuple[int, int, int, int], int]:
     """Tally the matchings of ``length`` points in one depth-first search.
 
-    By default every full matching is visited, and with ``shapes`` set only
-    the shapes.  A positive ``sigma_max`` selects the macromolecular pass
-    instead: partial matchings without 1-chords, with the smallest stack
-    tracked and capped at ``sigma_max``, which also stands for "no stack".
-    Keys are (boundary cycles, chords, 1-chords, smallest stack); cycles
-    count the diagram with its unmatched vertices deleted, and the empty
-    diagram bounds one.
+    Mode "full" visits every full matching, "shape" only the shapes, and
+    "mm" the macromolecular pass: partial matchings without 1-chords, with
+    the smallest stack tracked.  Keys are (boundary cycles, chords, 1-chords,
+    smallest stack); a diagram without chords reports length // 2 + 1, past
+    every stack, and a full matching 0.  Cycles count the diagram with its
+    unmatched vertices deleted, and the empty diagram bounds one.  Each
+    tally is searched once per process and handed out read-only; the caps
+    of its callers bound the keys to a few dozen.
     """
-    partial = sigma_max > 0
+    shapes = mode == "shape"
+    partial = mode == "mm"
+    no_stack = length // 2 + 1 if partial else 0  # past any stack of length points
     counts: dict[tuple[int, int, int, int], int] = {}
     if length == 0:
-        counts[(1, 0, 0, sigma_max)] = 1
-        return counts
+        counts[(1, 0, 0, no_stack)] = 1
+        return MappingProxyType(counts)
     last = length - 1
     partner = [-1] * length
     # For an end v of an open boundary path, other[v] is the path's other
@@ -342,8 +431,8 @@ def _tabulate(
         nxt[length] = i
         prv[after] = i
 
-    visit(length, 0, 0, 0, 0, sigma_max)
-    return counts
+    visit(length, 0, 0, 0, 0, no_stack)
+    return MappingProxyType(counts)
 
 
 def _full_entries(n_max: int, shapes: bool) -> dict[tuple[int, ...], int]:
@@ -351,7 +440,7 @@ def _full_entries(n_max: int, shapes: bool) -> dict[tuple[int, ...], int]:
     _check_cap(n_max, DEFAULT_FULL_CAP, "full diagram")
     entries: dict[tuple[int, ...], int] = {}
     for n in range(n_max + 1):
-        for (cycles, _k, m, _low), v in _tabulate(2 * n, shapes=shapes).items():
+        for (cycles, _k, m, _low), v in _tabulate(2 * n, "shape" if shapes else "full").items():
             entries[(_genus_of(n, cycles), n, m)] = v
     return entries
 
@@ -364,15 +453,13 @@ def _full_entries(n_max: int, shapes: bool) -> dict[tuple[int, ...], int]:
 def enumerate_chord_diagrams(n: int) -> Iterator[ChordDiagram]:
     """Every full diagram with n chords, each exactly once, in canonical order."""
     _check_cap(n, DEFAULT_FULL_CAP, "full diagram")
-    for partner in _matchings(2 * n, False):
-        yield ChordDiagram._trusted(tuple(partner))
+    return map(_trusted, repeat(ChordDiagram), _arrays(2 * n, False))
 
 
 def enumerate_partial_diagrams(n: int) -> Iterator[PartialDiagram]:
     """Every partial diagram on n backbone vertices, each exactly once."""
     _check_cap(n, DEFAULT_PARTIAL_CAP, "partial diagram")
-    for partner in _matchings(n, True):
-        yield PartialDiagram._trusted(tuple(partner))
+    return map(_trusted, repeat(PartialDiagram), _arrays(n, True))
 
 
 # ---------------------------------------------------------------------------
@@ -415,11 +502,10 @@ def count_macromolecular_multi(n_max: int, sigmas: Iterable[int]) -> dict[int, G
     _check_cap(n_max, DEFAULT_PARTIAL_CAP, "partial diagram")
     tables: dict[int, dict[tuple[int, ...], int]] = {s: {} for s in sig}
     for n in range(n_max + 1):
-        tally = _tabulate(n, sigma_max=sig[-1])
-        for (cycles, chords, _m, smallest), v in tally.items():
+        for (cycles, chords, _m, smallest), v in _tabulate(n, "mm").items():
             key = (_genus_of(chords, cycles), n)
             for s in sig:
-                if smallest >= s:
+                if not chords or smallest >= s:
                     t = tables[s]
                     t[key] = t.get(key, 0) + v
     return {s: GenusTable("macromolecular", n_max, tables[s]) for s in sig}

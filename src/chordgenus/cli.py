@@ -76,7 +76,6 @@ GROWTH_N_MAX = 400  # the n of ``asymptotics growth`` without --n-max
 # The flags each command kind takes, one row per flag and group of kinds: command,
 # kinds, flag, least value, cap (its constant's name, read at check time), required.
 # A later row for a kind and flag wins; a kind refuses any other flag.
-_SUITES = "|".join(verify.SUITE_NAMES)
 _TAKES = (
     ("table", "cg|cg-m|shapes|mm", "n_max", 0, "ORDER_CAP", True),
     ("table", "cg|cg-m|shapes|mm", "g_max", 0, None, False),
@@ -93,12 +92,11 @@ _TAKES = (
     ("asymptotics", "growth", "g", 0, None, True),
     ("asymptotics", "growth", "sigma", 1, "MAX_SIGMA", False),
     ("asymptotics", "growth", "n_max", 1, "ORDER_CAP", False),
-    ("verify", _SUITES, "n_max", 1, None, False),
     ("verify", "hz", "n_max", 1, "MAX_HZ_VERIFY_N", False),
     ("verify", "oracle|shapes|all", "n_max", 1, "DEFAULT_FULL_CAP", False),
     ("verify", "mm", "n_max", 1, "DEFAULT_PARTIAL_CAP", False),
-    ("verify", _SUITES, "g_max", 1, None, False),
-    ("verify", _SUITES, "sigma_list", 1, "MAX_SIGMA", False),
+    ("verify", "polys|all", "g_max", 1, None, False),
+    ("verify", "mm|all", "sigma_list", 1, "MAX_SIGMA", False),
 )
 
 EXIT_OK = 0
@@ -129,7 +127,8 @@ def _validate(args) -> None:
         value = getattr(args, flag)
         if spec is None:
             if value is not None:
-                users = "|".join(r[1] for r in _TAKES if r[0] == args.command and r[2] == flag)
+                rows = (r[1] for r in _TAKES if r[0] == args.command and r[2] == flag)
+                users = "|".join(dict.fromkeys(k for names in rows for k in names.split("|")))
                 raise ValueError(f"--{name} applies to {args.command} {users} only")
             continue
         least, cap, required = spec

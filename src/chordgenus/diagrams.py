@@ -133,13 +133,6 @@ class _Diagram:
         _validate_partners(p, self._allow_unmatched)
         object.__setattr__(self, "partners", p)
 
-    @classmethod
-    def _trusted(cls, partners: tuple[int, ...]):
-        # an array the enumerator built is valid by construction
-        d = object.__new__(cls)
-        object.__setattr__(d, "partners", partners)
-        return d
-
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
@@ -210,7 +203,7 @@ class _Diagram:
             # the ends of each stack's outermost chord (unmatched ones lie in none)
             kept = sorted(v for i in _stacks(p) for v in (i, p[i]))
             if len(kept) == len(p):
-                return ChordDiagram._trusted(p)
+                return _trusted(ChordDiagram, p)
             rank = [_UNMATCHED] * len(p)
             for new, v in enumerate(kept):
                 rank[v] = new
@@ -228,6 +221,18 @@ class _Diagram:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}.from_text({self.to_text()!r})"
+
+
+# the slot's own setter, which the refusing __setattr__ does not see
+_set_partners = _Diagram.partners.__set__
+
+
+def _trusted(cls, partners: tuple[int, ...]):
+    # the one way past validation, for a partner tuple that the streams or
+    # the shape projection built and that is valid by construction
+    d = object.__new__(cls)
+    _set_partners(d, partners)
+    return d
 
 
 class ChordDiagram(_Diagram):

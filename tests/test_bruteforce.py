@@ -1,9 +1,10 @@
+import pickle
 import sys
 from collections import Counter
 
 import pytest
 
-from chordgenus import genfunc
+from chordgenus import bruteforce, genfunc
 from chordgenus.bruteforce import (
     DEFAULT_FULL_CAP,
     DEFAULT_PARTIAL_CAP,
@@ -197,6 +198,45 @@ def test_streamed_diagrams_pass_validation():
             for d in diagrams:
                 assert type(d) is cls and type(d.partners) is tuple
                 _validate_partners(d.partners, allow_unmatched=partial)
+
+
+@pytest.mark.parametrize(
+    "cls, n",
+    [(ChordDiagram, n) for n in range(6)] + [(PartialDiagram, n) for n in range(9)],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_streamed_diagrams_behave_like_constructed_ones(cls, n):
+    # the streams build their objects without __init__; each must still
+    # equal, hash like, pickle like and refuse attributes like a checked one
+    stream = enumerate_chord_diagrams if cls is ChordDiagram else enumerate_partial_diagrams
+    for d in stream(n):
+        built = cls(d.partners)
+        assert d == built and hash(d) == hash(built)
+        assert pickle.loads(pickle.dumps(d)) == d
+        for name in ("partners", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(d, name, ())
+
+
+def test_oracle_tallies_are_searched_once_and_handed_out_read_only():
+    tally = bruteforce._tabulate(6, "full")
+    with pytest.raises(TypeError):
+        tally[(1, 3, 0, 0)] = 5
+    first = count_by_genus(6)
+    before = bruteforce._tabulate.cache_info()
+    second = count_by_genus(6)
+    after = bruteforce._tabulate.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (7, 0)  # n = 0..6
+    assert second == first
+    # each table gets its own entries, so a caller's edit stays its own
+    second.entries[(0, 6)] += 1
+    assert count_by_genus(6).entries[(0, 6)] == CATALAN[6] == first.entries[(0, 6)]
+
+
+def test_macromolecular_sigma_past_every_stack_keeps_only_the_chordless():
+    # one tally per n serves every sigma; a sigma above n // 2 + 1, the
+    # tally's stand-in for "no stack", still admits the chordless diagram
+    assert count_macromolecular(7, 40).entries == {(0, n): 1 for n in range(8)}
 
 
 def witness_matchings(length, partial):

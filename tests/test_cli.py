@@ -382,16 +382,19 @@ class TestTableLimits:
         assert 201 * 401 <= MAX_TABLE_ROWS  # table cg --n-max 400
         assert 6 * 11 * 11 <= MAX_TABLE_ROWS  # table cg-m|shapes --n-max 10
 
-    def test_verify_suites_without_the_pipeline_ignore_g_max(self, capsys):
-        code, out, _ = run_cli(
+    def test_verify_suites_without_the_pipeline_refuse_g_max(self, capsys, no_work):
+        code, out, err = run_cli(
             capsys, "verify", "hz", "--n-max", "3", "--g-max", str(MAX_PIPELINE_GENUS)
         )
-        assert code == EXIT_OK and "[FAIL]" not in out
+        assert (code, out, err) == (EXIT_USAGE, "", "error: --g-max applies to verify polys|all only\n")
 
 
 def _flag_table():
-    """``cli._TAKES`` as {(command, kind): {flag: (least, cap, required)}}, later rows winning."""
-    kinds = {}
+    """``cli._TAKES`` as {(command, kind): {flag: (least, cap, required)}}, later rows winning.
+
+    Every verify suite is a kind, ``asymptotics`` too, though it takes no flag.
+    """
+    kinds = {("verify", suite): {} for suite in verify.SUITE_NAMES}
     for command, names, flag, *spec in cli._TAKES:
         for kind in names.split("|"):
             kinds.setdefault((command, kind), {})[flag] = tuple(spec)
@@ -420,10 +423,10 @@ def _probes(rule):
     """(argv, refusal text) for every kind and flag of the flag table, per ``rule``."""
     words = {"ORDER_CAP": "cap", "MAX_PIPELINE_GENUS": "P_g pipeline limit"}
     for (command, kind), takes in _KINDS.items():
-        users = {}  # each flag of the command, with the kinds that take it
-        for (c, k), t in _KINDS.items():
-            for f in t if c == command else ():
-                users.setdefault(f, []).append(k)
+        users = {}  # each flag of the command, with the kinds that take it, in row order
+        for c, names, f, *_ in cli._TAKES:
+            for k in names.split("|") if c == command else ():
+                users.setdefault(f, {})[k] = None
         for flag, kinds in users.items():
             name = _option(flag)[2:]
             if flag not in takes:
@@ -629,6 +632,9 @@ class TestFlagTable:
             "asymptotics constant --g 1 --sigma 3",
             "asymptotics constant --g 1 --n-max 7",
             "asymptotics singularity --sigma 1 --g 5",
+            "verify polys --n-max 3 --g-max 2",
+            "verify asymptotics --n-max 3",
+            "verify hz --sigma 3 --n-max 4",
         ],
     )
     def test_stray_flags_once_ignored_are_refused(self, capsys, argv):
