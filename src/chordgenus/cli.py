@@ -127,8 +127,7 @@ def _validate(args) -> None:
         value = getattr(args, flag)
         if spec is None:
             if value is not None:
-                rows = (r[1] for r in _TAKES if r[0] == args.command and r[2] == flag)
-                users = "|".join(dict.fromkeys(k for names in rows for k in names.split("|")))
+                users = "|".join(r[1] for r in _TAKES if r[0] == args.command and r[2] == flag)
                 raise ValueError(f"--{name} applies to {args.command} {users} only")
             continue
         least, cap, required = spec
