@@ -9,15 +9,26 @@ genus range g_max (None here: an enumeration sees every genus).  Every
 oracle refuses an n past its fixed safety cap, ``DEFAULT_FULL_CAP`` or
 ``DEFAULT_PARTIAL_CAP``.
 
-The public streams come lazily from ``_arrays``.  A depth-first walk over an
-explicit stack places chords until 8 vertices are undecided (or 7, which a
-partial matching can skip to), then hands out that node's completions from
-a table of the canonical matchings of 8 points, built on the first call of
-a stream.  Each diagram costs two C-level gathers, one per completion for
-the undecided vertices and one per node that puts them among the decided
-ones, and no Python step per vertex: at n = 7 the walk visits 1 + 13 + 143
-nodes and hands out 105 completions at each of 1287.  The streams wrap the
-arrays through ``diagrams._trusted``, without validating them again.
+The public streams come lazily from ``_diagrams``.  A depth-first walk over
+an explicit stack places chords until 8 vertices are undecided (or 7, which
+a partial matching can skip to), then hands out that node's completions
+from a table of the canonical matchings of 8 points, built on the first
+call of a stream.  Each diagram costs two C-level gathers, one per
+completion for the undecided vertices and one per node that puts them among
+the decided ones, and no Python step per vertex: at n = 7 the walk visits
+1 + 13 + 143 nodes and hands out 105 completions at each of 1287.  The
+streams wrap the arrays through ``diagrams._trusted``, without validating
+them again, and hand each diagram its classification: boundary cycles,
+genus, 1-chords and (full only) the shape flag, which ``boundary_cycles()``,
+``genus()``, ``one_chord_count()`` and ``is_shape()`` then read without a
+walk.  One O(length) walk per node (``_node_key``) finds, among other
+things, the tail that the open boundary path from each undecided vertex's
+successor ends at, so a completion closes the cycles of an 8-point map;
+``_node_tallies`` classifies every completion of a node of that signature
+once per process (591 signatures over the 1287 nodes at n = 7).  A node's
+first diagram goes out before that walk and carries no classification, nor
+does a diagram of a stream of at most 8 points; those queries walk the
+array.
 
 The counting tables come from one depth-first search, ``_tabulate``, that
 serves full matchings (2n points) and partial matchings (n points).  It
@@ -52,8 +63,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import permutations, repeat
-from operator import add, itemgetter
+from itertools import islice, permutations, repeat
+from operator import add, eq, itemgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -131,7 +142,6 @@ class GenusTable:
 # The walk stops at _CLOSE undecided vertices, or at _CLOSE - 1, which a
 # partial matching can skip to, and hands out that node's completions.
 _CLOSE = 8
-_POINTS = (*range(_CLOSE), -1)
 
 
 def _canonical(size: int, partial: bool) -> list[tuple[int, ...]]:
@@ -160,33 +170,147 @@ def _canonical(size: int, partial: bool) -> list[tuple[int, ...]]:
 
 
 @functools.cache
-def _gathers(partial: bool) -> dict[int, tuple[itemgetter, ...]]:
-    """Undecided vertex count -> one gather per completion, in canonical order.
+def _gathers(partial: bool) -> dict[int, tuple[tuple, tuple]]:
+    """Undecided vertex count k -> (one gather per completion, the completions).
 
     A completion s of the undecided vertices u_0 < ... < u_(k-1) of a node
     gives u_t the partner u_(s[t]), or none when s[t] is -1, so
-    itemgetter(*s) reads them all from (u_0, ..., u_(k-1), -1); read from
-    _POINTS it gives s back.  A partial node of _CLOSE - 1 vertices takes
-    the completions that leave the last of _CLOSE points unmatched, and
-    that point reads padding.  Built on the first call of a stream (0.1 ms
-    full, 0.6 ms partial), so a process that never streams holds none.
+    itemgetter(*s) reads them all from (u_0, ..., u_(k-1), -1).  Both come
+    in canonical order; the completions, in this rank form cut to k
+    entries, are what ``_node_tallies`` classifies.  A partial node of
+    _CLOSE - 1 vertices takes the completions that leave the last of _CLOSE
+    points unmatched, and that point reads padding.  Built on the first call
+    of a stream (0.1 ms full, 0.6 ms partial), so a process that never
+    streams holds none.
     """
     completions = _canonical(_CLOSE, partial)
-    out = {_CLOSE: tuple(itemgetter(*s) for s in completions)}
+    out = {_CLOSE: (tuple(itemgetter(*s) for s in completions), tuple(completions))}
     if partial:
-        out[_CLOSE - 1] = tuple(g for g, s in zip(out[_CLOSE], completions) if s[-1] < 0)
+        short = [s for s in completions if s[-1] < 0]
+        out[_CLOSE - 1] = (tuple(itemgetter(*s) for s in short), tuple(s[:-1] for s in short))
     return out
 
 
-def _arrays(length: int, partial: bool, gathers: dict) -> Iterator[tuple[int, ...]]:
-    """Every matching of ``length`` points as a partner tuple, in canonical order."""
+def _node_key(partner: list[int], undecided: list[int], partial: bool) -> tuple:
+    # The arguments of _node_tallies for a node, from one walk over its
+    # decided vertices: those below the lowest undecided one, and every
+    # matched one.  mark[v] is the rank t of u_t = v, -1 for a decided
+    # vertex and -2 once the walk has passed it.
+    length = len(partner)
+    last = length - 1
+    mark = [-1] * length
+    for t, u in enumerate(undecided):
+        mark[u] = t
+    # The boundary map sends v to partner(v)+1, or to v+1 when v is
+    # unmatched.  From head u + 1 it runs over decided vertices to an
+    # undecided tail, since no decided vertex maps to u + 1.
+    tails = []
+    for u in undecided:
+        w = u + 1 if u < last else 0
+        while mark[w] < 0:
+            mark[w] = -2
+            p = partner[w]
+            if p < 0:
+                p = w
+            w = p + 1 if p < last else 0
+        tails.append(mark[w])
+    # every decided vertex off those paths lies on a cycle closed already
+    closed = 0
+    for v in range(length):
+        if mark[v] == -1:
+            closed += 1
+            w = v
+            while mark[w] == -1:
+                mark[w] = -2
+                p = partner[w]
+                if p < 0:
+                    p = w
+                w = p + 1 if p < last else 0
+    adjacent = 0  # bit t: u_(t+1) = u_t + 1
+    for t in range(len(undecided) - 1):
+        if undecided[t + 1] == undecided[t] + 1:
+            adjacent |= 1 << t
+    # A full node's decided chords stack already, or the decided chord
+    # (u_0 - 1, p) bars the completion chord (u_0, u_bar), u_bar = p - 1,
+    # that would sit right inside it (bar -1 for none).  No other completion
+    # chord can stack with a decided one, since every decided chord starts
+    # before u_0, the lowest undecided vertex.
+    stacked = False
+    bar = -1
+    if not partial:
+        stacked = any(
+            p - v > 2 and partner[v + 1] == p - 1 for v, p in enumerate(partner) if p > v
+        )
+        low = undecided[0]
+        p = partner[low - 1]
+        if not stacked and p > low + 1 and mark[p - 1] >= 0:
+            bar = mark[p - 1]
+    return (
+        partial, len(undecided), tuple(tails), closed,
+        (length - partner.count(-1)) // 2, sum(map(eq, partner, range(1, length + 1))),
+        adjacent, stacked, bar,
+    )
+
+
+@functools.cache
+def _tally(cycles: int, genus: int, ones: int, shape: bool | None) -> tuple:
+    # one shared tuple per classification, so a node's tallies are pointers
+    return cycles, genus, ones, shape
+
+
+@functools.cache
+def _node_tallies(
+    partial: bool, k: int, tails: tuple[int, ...], closed: int, chords: int, ones: int,
+    adjacent: int, stacked: bool, bar: int,
+) -> tuple[tuple, ...]:
+    """(boundary cycles, genus, 1-chords, shape flag) of each completion of a node.
+
+    In ``_gathers`` order, for the node that ``_node_key`` describes: the
+    open boundary path from head u_t + 1 ends at tail u_T[t], T = ``tails``;
+    ``closed`` cycles and ``chords`` chords (``ones`` of them 1-chords) lie
+    among the decided vertices; bit t of ``adjacent`` says u_(t+1) = u_t + 1;
+    and a full node's decided chords stack already or bar the completion
+    chord (u_0, u_bar).  A completion s closes the cycles of t -> T[s(t)],
+    with s(t) = t for an unmatched u_t.  The shape flag is None in a
+    partial node.
+    """
+    out = []
+    for s in _gathers(partial)[k][1]:
+        step = [tails[t if x < 0 else x] for t, x in enumerate(s)]
+        cycles = closed
+        for start in range(k):
+            if step[start] >= 0:
+                cycles += 1
+                x = start
+                while step[x] >= 0:
+                    y = step[x]
+                    step[x] = -1
+                    x = y
+        pairs = [(t, x) for t, x in enumerate(s) if x > t]
+        ones_s = ones + sum(1 for t, x in pairs if x == t + 1 and adjacent >> t & 1)
+        shape = None
+        if not partial:
+            # (u_t, u_x) stacks with (u_(t+1), u_(x-1)) when both pairs of
+            # ends are neighbours
+            shape = not stacked and s[0] != bar and not any(
+                x - t > 2 and s[t + 1] == x - 1 and adjacent >> t & adjacent >> (x - 1) & 1
+                for t, x in pairs
+            )
+        out.append(_tally(cycles, _genus_of(chords + len(pairs), cycles), ones_s, shape))
+    return tuple(out)
+
+
+def _diagrams(cls, length: int, gathers: dict) -> Iterator:
+    """Every matching of ``length`` points as a ``cls`` diagram, in canonical order."""
+    partial = cls._allow_unmatched
     if length <= _CLOSE:
         # those of _CLOSE points whose last _CLOSE - length points take the
         # first completion (all unmatched, or paired as (length, length+1),
         # ...), cut to length points
-        completions = [gather(_POINTS) for gather in gathers[_CLOSE]]
+        completions = gathers[_CLOSE][1]
         first = completions[0][length:]
-        yield from (s[:length] for s in completions if s[length:] == first)
+        arrays = (s[:length] for s in completions if s[length:] == first)
+        yield from map(_trusted, repeat(cls), arrays)
         return
     # Depth-first over the lowest undecided vertex i.  Its options, in order,
     # are i itself (left unmatched, partial only) and each free j > i; `lows`
@@ -206,13 +330,18 @@ def _arrays(length: int, partial: bool, gathers: dict) -> Iterator[tuple[int, ..
             # vertices, and one gather per node puts them among the decided
             # vertices' partners
             undecided = [v for v in range(i, length) if partner[v] < 0]
-            node_gathers = gathers[len(undecided)]
+            node_gathers = gathers[len(undecided)][0]
             order = list(range(_CLOSE, _CLOSE + length))
             for t, v in enumerate(undecided):
                 order[v] = t
-            undecided += [-1] * (_CLOSE + 1 - len(undecided))
-            gathered = map(_call, node_gathers, repeat(tuple(undecided)))
-            yield from map(itemgetter(*order), map(add, gathered, repeat(tuple(partner))))
+            lift = (*undecided, *repeat(-1, _CLOSE + 1 - len(undecided)))
+            gathered = map(_call, node_gathers, repeat(lift))
+            arrays = map(itemgetter(*order), map(add, gathered, repeat(tuple(partner))))
+            # the node's first diagram goes out before its tallies are looked
+            # up, so the stream's first diagram waits for no walk or search
+            yield _trusted(cls, next(arrays))
+            tallies = _node_tallies(*_node_key(partner, undecided, partial))
+            yield from map(_trusted, repeat(cls), arrays, islice(tallies, 1, None))
             j = length  # backtrack
         # take the first free option from j on, backtracking while there is none
         while True:
@@ -461,13 +590,13 @@ def _full_entries(n_max: int, mode: str) -> dict[tuple[int, ...], int]:
 def enumerate_chord_diagrams(n: int) -> Iterator[ChordDiagram]:
     """Every full diagram with n chords, each exactly once, in canonical order."""
     _check_cap(n, DEFAULT_FULL_CAP, "full diagram")
-    return map(_trusted, repeat(ChordDiagram), _arrays(2 * n, False, _gathers(False)))
+    return _diagrams(ChordDiagram, 2 * n, _gathers(False))
 
 
 def enumerate_partial_diagrams(n: int) -> Iterator[PartialDiagram]:
     """Every partial diagram on n backbone vertices, each exactly once."""
     _check_cap(n, DEFAULT_PARTIAL_CAP, "partial diagram")
-    return map(_trusted, repeat(PartialDiagram), _arrays(n, True, _gathers(True)))
+    return _diagrams(PartialDiagram, n, _gathers(True))
 
 
 # ---------------------------------------------------------------------------

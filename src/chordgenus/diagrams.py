@@ -11,6 +11,13 @@ deleted), but every query reads the partner array as it stands.  The boundary
 walk sends an unmatched vertex v to v+1, so from a matched w it goes to
 partner(w)+1 and over the unmatched run there to the next matched vertex,
 where tau o iota goes in the subdiagram: the cycles are the subdiagram's.
+
+A diagram handed out by a stream of more than 8 points (``bruteforce``)
+mostly carries its classification: ``boundary_cycles()``, ``genus()``,
+``one_chord_count()`` and ``is_shape()`` read it instead of walking the
+array.  Every other query walks the array.  A checked diagram (built through
+``__init__``, which a pickle round trip also takes), a ``project_shape()``
+result and a diagram of a stream of at most 8 points carry none.
 """
 
 from __future__ import annotations
@@ -119,19 +126,26 @@ def _genus_of(chords: int, cycles: int) -> int:
 class _Diagram:
     """An immutable partner array: partners[v] is v's partner, -1 if unmatched.
 
-    Equality, hashing and repr are keyed on the concrete type, so a full
-    diagram never equals the partial diagram with the same array.
+    Equality, hashing and repr are keyed on the concrete type and the array
+    alone, so a full diagram never equals the partial diagram with the same
+    array.  ``_tally`` is None, or for a streamed diagram the classification
+    (boundary cycles, genus, 1-chords, shape flag) that the stream worked out
+    for it, the flag None for a partial diagram; ``boundary_cycles()``,
+    ``genus()``, ``one_chord_count()`` and ``is_shape()`` read it when it is
+    set.
     """
 
-    __slots__ = ("partners",)
+    __slots__ = ("partners", "_tally")
 
     partners: tuple[int, ...]
+    _tally: tuple | None
     _allow_unmatched = False
 
     def __init__(self, partners: Iterable[int]):
         p = tuple(partners)
         _validate_partners(p, self._allow_unmatched)
-        object.__setattr__(self, "partners", p)
+        _set_partners(self, p)
+        _set_tally(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -169,15 +183,24 @@ class _Diagram:
 
     def one_chord_count(self) -> int:
         """Chords joining neighbouring vertices."""
+        tally = self._tally
+        if tally is not None:
+            return tally[2]
         p = self.partners
         return sum(map(operator.eq, p, range(1, len(p) + 1)))
 
     def boundary_cycles(self) -> int:
         """Boundary cycles of the matched subdiagram (1 without chords)."""
+        tally = self._tally
+        if tally is not None:
+            return tally[0]
         return _cycle_count(self.partners)
 
     def genus(self) -> int:
         """Genus of the matched subdiagram."""
+        tally = self._tally
+        if tally is not None:
+            return tally[1]
         p = self.partners
         return _genus_of((len(p) - p.count(_UNMATCHED)) // 2, _cycle_count(p))
 
@@ -223,15 +246,18 @@ class _Diagram:
         return f"{type(self).__name__}.from_text({self.to_text()!r})"
 
 
-# the slot's own setter, which the refusing __setattr__ does not see
+# the slots' own setters, which the refusing __setattr__ does not see
 _set_partners = _Diagram.partners.__set__
+_set_tally = _Diagram._tally.__set__
 
 
-def _trusted(cls, partners: tuple[int, ...]):
+def _trusted(cls, partners: tuple[int, ...], tally: tuple | None = None):
     # the one way past validation, for a partner tuple that the streams or
-    # the shape projection built and that is valid by construction
+    # the shape projection built and that is valid by construction, and for
+    # the classification a stream worked out for it
     d = object.__new__(cls)
     _set_partners(d, partners)
+    _set_tally(d, tally)
     return d
 
 
@@ -256,6 +282,9 @@ class ChordDiagram(_Diagram):
 
     def is_shape(self) -> bool:
         """True when every stack has a single chord."""
+        tally = self._tally
+        if tally is not None:
+            return tally[3]
         return _is_shape_partner(self.partners)
 
     def to_partial(self) -> "PartialDiagram":

@@ -1,6 +1,7 @@
 import pickle
 import sys
 from collections import Counter
+from operator import attrgetter
 
 import pytest
 
@@ -135,15 +136,16 @@ def test_negative_n_max_is_rejected():
 
 
 def test_full_tables_match_public_stream_tallies():
-    # the search tracks cycles, 1-chords and stacking incrementally; the
-    # stream classifies each diagram from scratch through ChordDiagram.
-    # n <= 6 reaches all 24 tail orders of the closing step's table (4, 10,
-    # 19 and 24 distinct at n = 3..6; n = 2 closes through the loop), in
-    # full and in shape mode.
+    # the search tracks cycles, 1-chords and stacking incrementally; each
+    # streamed array is classified from scratch through a checked rebuild,
+    # which carries none of the stream's own classification.  n <= 6
+    # reaches all 24 tail orders of the closing step's table (4, 10, 19 and
+    # 24 distinct at n = 3..6; n = 2 closes through the loop), in full and
+    # in shape mode.
     n_max = 6
     joint, shapes = Counter(), Counter()
     for n in range(n_max + 1):
-        for d in enumerate_chord_diagrams(n):
+        for d in map(ChordDiagram, map(attrgetter("partners"), enumerate_chord_diagrams(n))):
             key = (d.genus(), n, d.one_chord_count())
             joint[key] += 1
             if d.is_shape():
@@ -176,7 +178,8 @@ def test_macromolecular_tables_match_partial_stream_tallies():
     n_max, sigmas = 10, (1, 2, 3)
     tallies = {s: Counter() for s in sigmas}
     for n in range(n_max + 1):
-        for d in enumerate_partial_diagrams(n):
+        # checked rebuilds, as in the full-matching test above
+        for d in map(PartialDiagram, map(attrgetter("partners"), enumerate_partial_diagrams(n))):
             for s in sigmas:
                 if d.is_macromolecular(s):
                     tallies[s][(d.genus(), n)] += 1
@@ -213,9 +216,43 @@ def test_streamed_diagrams_behave_like_constructed_ones(cls, n):
         built = cls(d.partners)
         assert d == built and hash(d) == hash(built)
         assert pickle.loads(pickle.dumps(d)) == d
-        for name in ("partners", "extra"):
+        for name in ("partners", "_tally", "extra"):
             with pytest.raises(AttributeError):
                 setattr(d, name, ())
+
+
+def classification(d):
+    shape = d.is_shape() if isinstance(d, ChordDiagram) else None
+    return d.boundary_cycles(), d.genus(), d.one_chord_count(), shape
+
+
+def test_streamed_diagrams_carry_the_classification_of_checked_rebuilds():
+    # the node tables against the array walks of checked rebuilds, from a
+    # cold memo and again from a warm one; only a node's first diagram and
+    # the streams of at most 8 points carry no classification
+    for stream, cls, n_max, points in (
+        (enumerate_chord_diagrams, ChordDiagram, 7, 2),
+        (enumerate_partial_diagrams, PartialDiagram, 11, 1),
+    ):
+        bruteforce._node_tallies.cache_clear()
+        for n in range(n_max + 1):
+            diagrams = list(stream(n))
+            carried = [d._tally for d in diagrams]
+            rebuilt = [cls(d.partners) for d in diagrams]
+            assert all(r._tally is None for r in rebuilt)
+            assert list(map(classification, diagrams)) == list(map(classification, rebuilt))
+            bare = carried.count(None)
+            if points * n <= 8:
+                assert bare == len(carried)
+            else:
+                assert 0 < 50 * bare < len(carried)
+            assert [d._tally for d in stream(n)] == carried
+        tallied = [d for d in stream(n_max - 1) if d._tally is not None][::97]
+        assert tallied
+        for d in tallied:
+            copy = pickle.loads(pickle.dumps(d))
+            assert copy._tally is None and classification(copy) == classification(d)
+            assert d.project_shape()._tally is None
 
 
 def test_oracle_tallies_are_searched_once_and_handed_out_read_only():
