@@ -197,22 +197,21 @@ def _node_key(partner: list[int], undecided: list[int], partial: bool) -> tuple:
     # matched one.  mark[v] is the rank t of u_t = v, -1 for a decided
     # vertex and -2 once the walk has passed it.
     length = len(partner)
-    last = length - 1
     mark = [-1] * length
     for t, u in enumerate(undecided):
         mark[u] = t
     # The boundary map sends v to partner(v)+1, or to v+1 when v is
-    # unmatched.  From head u + 1 it runs over decided vertices to an
-    # undecided tail, since no decided vertex maps to u + 1.
+    # unmatched or undecided, mod length.  From head u + 1 it runs over
+    # decided vertices to an undecided tail, since no decided vertex maps
+    # to u + 1.
+    step = [(v if p < 0 else p) + 1 for v, p in enumerate(partner)]
+    step[step.index(length)] = 0
     tails = []
     for u in undecided:
-        w = u + 1 if u < last else 0
+        w = step[u]
         while mark[w] < 0:
             mark[w] = -2
-            p = partner[w]
-            if p < 0:
-                p = w
-            w = p + 1 if p < last else 0
+            w = step[w]
         tails.append(mark[w])
     # every decided vertex off those paths lies on a cycle closed already
     closed = 0
@@ -222,10 +221,7 @@ def _node_key(partner: list[int], undecided: list[int], partial: bool) -> tuple:
             w = v
             while mark[w] == -1:
                 mark[w] = -2
-                p = partner[w]
-                if p < 0:
-                    p = w
-                w = p + 1 if p < last else 0
+                w = step[w]
     adjacent = 0  # bit t: u_(t+1) = u_t + 1
     for t in range(len(undecided) - 1):
         if undecided[t + 1] == undecided[t] + 1:
