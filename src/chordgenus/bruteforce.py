@@ -9,61 +9,62 @@ genus range g_max (None here: an enumeration sees every genus).  Every
 oracle refuses an n past its fixed safety cap, ``DEFAULT_FULL_CAP`` or
 ``DEFAULT_PARTIAL_CAP``.
 
-The public streams come lazily from ``_diagrams``.  A depth-first walk over
-an explicit stack places chords until 8 vertices are undecided (or 7, which
-a partial matching can skip to), then hands out that node's completions
-from a table of the canonical matchings of 8 points, built on the first
-call of a stream.  Each diagram costs two C-level gathers, one per
-completion for the undecided vertices and one per node that puts them among
-the decided ones, and no Python step per vertex: at n = 7 the walk visits
-1 + 13 + 143 nodes and hands out 105 completions at each of 1287.  The
+One depth-first walk, ``_nodes``, serves the full-matching tallies and both
+public streams.  Over an explicit stack it places chords until 8 vertices
+are undecided (or 7, which a partial matching can skip to); a matching of
+at most 8 points is its root alone.  One O(length) walk per node
+(``_node_key``) reads its signature: the tail that the open boundary path
+from each undecided vertex's successor ends at, the cycles, chords and
+1-chords among the decided vertices, which undecided vertices neighbour
+each other, and whether the decided chords stack already or bar one
+completion chord.  One classifier then closes every completion of a
+signature: ``_closing_cycles`` counts the cycles each closes, keyed on the
+tail order alone and built from the closings of fewer points, and
+``_closing_chords`` gives the chords, 1-chords and shape flags it adds,
+keyed on the neighbours and the bar.  Both are cached per process; at
+n = 7 the walk's 1287 nodes have 591 signatures, with 281 tail orders and
+205 neighbour patterns among them.
+
+A full-matching tally counts the walk's nodes by signature and closes each
+signature once.  One tally per point count, of (boundary cycles, 1-chords,
+shape flag), serves ``count_by_genus``, ``count_by_genus_onechords`` and
+``count_shapes``; it is built once per process and handed out read-only,
+so every table, verify suite and request after the first reads it without
+walking.  At n = 8 it closes 3212 signatures over 19 305 nodes.
+
+The streams come lazily from ``_diagrams``, which hands out each node's
+completions from a table of the canonical matchings of its k undecided
+points, built on the first call of a stream.  Each diagram costs two
+C-level gathers, one per completion for the undecided vertices and one per
+node that puts them among the decided ones, and no Python step per vertex:
+at n = 7 the walk hands out 105 completions at each of 1287 nodes.  The
 streams wrap the arrays through ``diagrams._trusted``, without validating
 them again, and hand each diagram its classification: boundary cycles,
-genus, 1-chords and (full only) the shape flag, which ``boundary_cycles()``,
-``genus()``, ``one_chord_count()`` and ``is_shape()`` then read without a
-walk.  One O(length) walk per node (``_node_key``) finds, among other
-things, the tail that the open boundary path from each undecided vertex's
-successor ends at, so a completion closes the cycles of an 8-point map;
-``_node_tallies`` classifies every completion of a node of that signature
-once per process (591 signatures over the 1287 nodes at n = 7).  A node's
-first diagram goes out before that walk and carries no classification, nor
-does a diagram of a stream of at most 8 points; those queries walk the
-array.
+genus, 1-chords and (full only) the shape flag, joined once per signature
+(``_node_tallies``), which ``boundary_cycles()``, ``genus()``,
+``one_chord_count()`` and ``is_shape()`` then read without a walk.  A
+node's first diagram goes out before the node's walk and carries none;
+its queries walk the array.
 
-The counting tables come from one depth-first search, ``_tabulate``, that
-serves full matchings (2n points) and partial matchings (n points).  It
+The macromolecular tables come from their own depth-first search,
+``_tabulate``, which tracks stack sizes, as the classifier does not.  It
 does not rebuild each diagram's boundary cycles at the leaf.  It keeps the
 boundary graph v -> partner(v)+1 (mod the vertex count) as a set of open
 paths and closed cycles while chords are placed: each chord adds two edges,
 and each edge either closes a cycle or joins two paths in O(1), undone on
 backtrack.  An unmatched vertex u adds the edge u -> u+1, which yields the
 cycles of the diagram with unmatched vertices deleted, without renumbering.
-The 1-chord count and the running stack size are kept the same way, and
-free vertices sit in a linked list.  A full matching closes its last two
-chords in one step: at four undecided vertices a < b < c < d the four open
-paths are fixed, and so is the order in which they lead into each other, so
-the cycles each of the three matchings ab|cd, ac|bd and ad|bc closes come
-from a 24 x 3 table built at import; the 1-chords and the shape test come
-from the positions of a..d.  The search thus stops at four undecided
-vertices: at n = 7 it makes 55 497 loop passes and 45 045 closing steps,
-where placing the last two chords one by one takes 190 632 loop passes.
-The cost is O(1) amortized per search node, against O(n) per leaf for the
-cycle walk a diagram-by-diagram classification needs.  Each tally, one per
-point count and mode, is searched once per process and handed out
-read-only, so every table, verify suite and request after the first reads
-it without searching.
-
-Pruning cuts only subtrees that hold no member of the class: the shape
-table never places a chord directly inside its neighbour (that would stack
-two chords), nor closes (b, c) right inside (a, d); the macromolecular
-table never places a 1-chord.  Every diagram of the class is still visited.
+The running stack size is kept the same way, and free vertices sit in a
+linked list.  The search never places a 1-chord, a subtree that holds no
+member of the class; every macromolecular diagram is still visited.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
-from itertools import islice, permutations, repeat
+from itertools import islice, repeat
 from operator import add, eq, itemgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
@@ -136,11 +137,12 @@ class GenusTable:
 
 
 # ---------------------------------------------------------------------------
-# the stream: a depth-first walk that closes its last chords from a table
+# the walk: every matching, node by node, closed by one classifier
 # ---------------------------------------------------------------------------
 
 # The walk stops at _CLOSE undecided vertices, or at _CLOSE - 1, which a
-# partial matching can skip to, and hands out that node's completions.
+# partial matching can skip to; a matching of at most _CLOSE points is one
+# node, the root.
 _CLOSE = 8
 
 
@@ -169,34 +171,92 @@ def _canonical(size: int, partial: bool) -> list[tuple[int, ...]]:
     return out
 
 
+def _picker(indices: list[int]):
+    # itemgetter(*indices), but a tuple for one index or none as well
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda seq: tuple(map(seq.__getitem__, indices))
+
+
 @functools.cache
 def _gathers(partial: bool) -> dict[int, tuple[tuple, tuple]]:
     """Undecided vertex count k -> (one gather per completion, the completions).
 
     A completion s of the undecided vertices u_0 < ... < u_(k-1) of a node
-    gives u_t the partner u_(s[t]), or none when s[t] is -1, so
-    itemgetter(*s) reads them all from (u_0, ..., u_(k-1), -1).  Both come
-    in canonical order; the completions, in this rank form cut to k
-    entries, are what ``_node_tallies`` classifies.  A partial node of
-    _CLOSE - 1 vertices takes the completions that leave the last of _CLOSE
-    points unmatched, and that point reads padding.  Built on the first call
-    of a stream (0.1 ms full, 0.6 ms partial), so a process that never
-    streams holds none.
+    gives u_t the partner u_(s[t]), or none when s[t] is -1, so the gather
+    of s reads them all from (u_0, ..., u_(k-1), -1).  The completions of k
+    points, in canonical order and rank form, are what the classifier
+    closes.  Every k up to _CLOSE that a node can have is built on the first
+    call of a stream or tally (about 0.5 ms full, 2-3 ms partial on a 2-core
+    host).
     """
-    completions = _canonical(_CLOSE, partial)
-    out = {_CLOSE: (tuple(itemgetter(*s) for s in completions), tuple(completions))}
-    if partial:
-        short = [s for s in completions if s[-1] < 0]
-        out[_CLOSE - 1] = (tuple(itemgetter(*s) for s in short), tuple(s[:-1] for s in short))
+    out = {}
+    for k in range(0, _CLOSE + 1, 1 if partial else 2):
+        completions = tuple(_canonical(k, partial))
+        out[k] = (tuple(map(_picker, completions)), completions)
     return out
 
 
+def _nodes(length: int, partial: bool) -> Iterator[tuple[list[int], list[int]]]:
+    """The nodes of the walk over the matchings of ``length`` points, in order.
+
+    Depth-first over the lowest undecided vertex i.  Its options, in order,
+    are i itself (left unmatched, partial only) and each free j > i.  A node
+    is a partner array, -1 at its undecided vertices, with at most _CLOSE of
+    them, handed out with the undecided vertices; the array is live, so the
+    caller reads it before asking for the next node.  Every matching
+    completes exactly one node, in canonical order when each node's
+    completions follow ``_gathers`` order.
+    """
+    # `lows` holds the decided vertices, partner[i] the option taken (-1 for
+    # i), and `left` counts the undecided vertices, all of them at i or past it
+    partner = [-1] * length
+    lows: list[int] = []
+    left = length
+    i = 0
+    while True:
+        if left > _CLOSE:
+            while partner[i] >= 0:
+                i += 1
+            j = i if partial else i + 1
+        else:
+            yield partner, [v for v in range(i, length) if partner[v] < 0]
+            j = length  # backtrack
+        # take the first free option from j on, backtracking while there is none
+        while True:
+            while j < length and partner[j] >= 0:
+                j += 1
+            if j < length:
+                break
+            if not lows:
+                return
+            i = lows.pop()
+            j = partner[i]
+            if j < 0:
+                j = i
+                left += 1
+            else:
+                partner[i] = partner[j] = -1
+                left += 2
+            j += 1
+        if j > i:
+            partner[i] = j
+            partner[j] = i
+            left -= 2
+        else:
+            left -= 1
+        lows.append(i)
+        i += 1
+
+
 def _node_key(partner: list[int], undecided: list[int], partial: bool) -> tuple:
-    # The arguments of _node_tallies for a node, from one walk over its
-    # decided vertices: those below the lowest undecided one, and every
-    # matched one.  mark[v] is the rank t of u_t = v, -1 for a decided
-    # vertex and -2 once the walk has passed it.
+    # The signature of a node, from one walk over its decided vertices:
+    # those below the lowest undecided one, and every matched one.  mark[v]
+    # is the rank t of u_t = v, -1 for a decided vertex and -2 once the walk
+    # has passed it.
     length = len(partner)
+    if not length:
+        return (partial, 0, (), 1, 0, 0, 0, False, -1)  # the empty diagram bounds one cycle
     mark = [-1] * length
     for t, u in enumerate(undecided):
         mark[u] = t
@@ -228,9 +288,9 @@ def _node_key(partner: list[int], undecided: list[int], partial: bool) -> tuple:
             adjacent |= 1 << t
     # A full node's decided chords stack already, or the decided chord
     # (u_0 - 1, p) bars the completion chord (u_0, u_bar), u_bar = p - 1,
-    # that would sit right inside it (bar -1 for none).  No other completion
-    # chord can stack with a decided one, since every decided chord starts
-    # before u_0, the lowest undecided vertex.
+    # that would sit right inside it (bar -1 for none; the root, u_0 = 0,
+    # has no decided chord).  No other completion chord can stack with a
+    # decided one, since every decided chord starts before u_0.
     stacked = False
     bar = -1
     if not partial:
@@ -238,7 +298,7 @@ def _node_key(partner: list[int], undecided: list[int], partial: bool) -> tuple:
             p - v > 2 and partner[v + 1] == p - 1 for v, p in enumerate(partner) if p > v
         )
         low = undecided[0]
-        p = partner[low - 1]
+        p = partner[low - 1] if low else -1
         if not stacked and p > low + 1 and mark[p - 1] >= 0:
             bar = mark[p - 1]
     return (
@@ -246,6 +306,63 @@ def _node_key(partner: list[int], undecided: list[int], partial: bool) -> tuple:
         (length - partner.count(-1)) // 2, sum(map(eq, partner, range(1, length + 1))),
         adjacent, stacked, bar,
     )
+
+
+# The classifier.  For the node that ``_node_key`` describes, the open
+# boundary path from head u_t + 1 ends at tail u_T[t], T = ``tails``, and
+# bit t of ``adjacent`` says u_(t+1) = u_t + 1.  Each function answers for
+# every completion of the node, in ``_gathers`` order; the node adds what
+# its decided vertices hold.
+
+
+@functools.cache
+def _closing_cycles(partial: bool, k: int, tails: tuple[int, ...]) -> tuple[int, ...]:
+    # The cycles that each completion s closes: those of t -> T[s(t)], with
+    # s(t) = t for an unmatched u_t.  By the option of u_0, in canonical
+    # order: u_0 left unmatched (j = 0) or paired with u_j.  Tails 0 and j
+    # leave the map: hop sends each on through s to where the next path
+    # ends, a path into one of them runs on by hop to a tail that stays, and
+    # a cycle among them alone closes at once.
+    if not k:
+        return (0,)
+    out = []
+    for j in range(0 if partial else 1, k):
+        hop = {0: tails[j], j: tails[0]}
+        closed = sum(hop[x] == x for x in hop) + (j > 0 and hop[0] == j and hop[j] == 0)
+        rest = [x for x in range(1, k) if x != j]
+        inner = []
+        for x in rest:
+            y = tails[x]
+            while y in hop:
+                y = hop[y]
+            inner.append(rest.index(y))
+        out.extend(closed + c for c in _closing_cycles(partial, len(rest), tuple(inner)))
+    return tuple(out)
+
+
+@functools.cache
+def _closing_chords(partial: bool, k: int, adjacent: int, bar: int) -> tuple[tuple, tuple, tuple]:
+    # the chords, the 1-chords and the shape flags that the completions
+    # add, column by column: a flag says that no completion chord stacks,
+    # none with another and (u_0, u_bar) not at all; it is None for a
+    # partial matching
+    completions = _gathers(partial)[k][1]
+    if bar >= 0:
+        # the columns without the bar, the flag cleared where s(0) = bar
+        added, ones, shapes = _closing_chords(partial, k, adjacent, -1)
+        return added, ones, tuple(f and s[0] != bar for f, s in zip(shapes, completions))
+    added, ones, shapes = [], [], []
+    for s in completions:
+        pairs = [(t, x) for t, x in enumerate(s) if x > t]
+        added.append(len(pairs))
+        ones.append(sum(1 for t, x in pairs if x == t + 1 and adjacent >> t & 1))
+        # (u_t, u_x) stacks with (u_(t+1), u_(x-1)) when both pairs of ends
+        # are neighbours
+        shapes.append(None if partial else not any(
+            x - t > 2 and s[t + 1] == x - 1 and adjacent >> t & adjacent >> (x - 1) & 1
+            for t, x in pairs
+        ))
+    return tuple(added), tuple(ones), tuple(shapes)
 
 
 @functools.cache
@@ -261,165 +378,87 @@ def _node_tallies(
 ) -> tuple[tuple, ...]:
     """(boundary cycles, genus, 1-chords, shape flag) of each completion of a node.
 
-    In ``_gathers`` order, for the node that ``_node_key`` describes: the
-    open boundary path from head u_t + 1 ends at tail u_T[t], T = ``tails``;
-    ``closed`` cycles and ``chords`` chords (``ones`` of them 1-chords) lie
-    among the decided vertices; bit t of ``adjacent`` says u_(t+1) = u_t + 1;
-    and a full node's decided chords stack already or bar the completion
-    chord (u_0, u_bar).  A completion s closes the cycles of t -> T[s(t)],
-    with s(t) = t for an unmatched u_t.  The shape flag is None in a
-    partial node.
+    The classifier's two answers joined with the node's ``closed`` cycles
+    and ``chords`` chords (``ones`` of them 1-chords) among its decided
+    vertices; decided chords that stack already clear the shape flag.
     """
-    out = []
-    for s in _gathers(partial)[k][1]:
-        step = [tails[t if x < 0 else x] for t, x in enumerate(s)]
-        cycles = closed
-        for start in range(k):
-            if step[start] >= 0:
-                cycles += 1
-                x = start
-                while step[x] >= 0:
-                    y = step[x]
-                    step[x] = -1
-                    x = y
-        pairs = [(t, x) for t, x in enumerate(s) if x > t]
-        ones_s = ones + sum(1 for t, x in pairs if x == t + 1 and adjacent >> t & 1)
-        shape = None
-        if not partial:
-            # (u_t, u_x) stacks with (u_(t+1), u_(x-1)) when both pairs of
-            # ends are neighbours
-            shape = not stacked and s[0] != bar and not any(
-                x - t > 2 and s[t + 1] == x - 1 and adjacent >> t & adjacent >> (x - 1) & 1
-                for t, x in pairs
-            )
-        out.append(_tally(cycles, _genus_of(chords + len(pairs), cycles), ones_s, shape))
-    return tuple(out)
+    added, more, shapes = _closing_chords(partial, k, adjacent, bar)
+    return tuple(
+        _tally(closed + c, _genus_of(chords + a, closed + c), ones + m, shape and not stacked)
+        for c, a, m, shape in zip(_closing_cycles(partial, k, tails), added, more, shapes)
+    )
 
 
 def _diagrams(cls, length: int, gathers: dict) -> Iterator:
     """Every matching of ``length`` points as a ``cls`` diagram, in canonical order."""
     partial = cls._allow_unmatched
-    if length <= _CLOSE:
-        # those of _CLOSE points whose last _CLOSE - length points take the
-        # first completion (all unmatched, or paired as (length, length+1),
-        # ...), cut to length points
-        completions = gathers[_CLOSE][1]
-        first = completions[0][length:]
-        arrays = (s[:length] for s in completions if s[length:] == first)
-        yield from map(_trusted, repeat(cls), arrays)
-        return
-    # Depth-first over the lowest undecided vertex i.  Its options, in order,
-    # are i itself (left unmatched, partial only) and each free j > i; `lows`
-    # holds the decided vertices, partner[i] the option taken (-1 for i), and
-    # `left` counts the undecided vertices, all of them at i or past it.
-    partner = [-1] * length
-    lows: list[int] = []
-    left = length
-    i = 0
-    while True:
-        while partner[i] >= 0:
-            i += 1
-        if left > _CLOSE:
-            j = i if partial else i + 1
-        else:
-            # each completion gathers _CLOSE partners for the undecided
-            # vertices, and one gather per node puts them among the decided
-            # vertices' partners
-            undecided = [v for v in range(i, length) if partner[v] < 0]
-            node_gathers = gathers[len(undecided)][0]
-            order = list(range(_CLOSE, _CLOSE + length))
-            for t, v in enumerate(undecided):
-                order[v] = t
-            lift = (*undecided, *repeat(-1, _CLOSE + 1 - len(undecided)))
-            gathered = map(_call, node_gathers, repeat(lift))
-            arrays = map(itemgetter(*order), map(add, gathered, repeat(tuple(partner))))
-            # the node's first diagram goes out before its tallies are looked
-            # up, so the stream's first diagram waits for no walk or search
-            yield _trusted(cls, next(arrays))
-            tallies = _node_tallies(*_node_key(partner, undecided, partial))
-            yield from map(_trusted, repeat(cls), arrays, islice(tallies, 1, None))
-            j = length  # backtrack
-        # take the first free option from j on, backtracking while there is none
-        while True:
-            while j < length and partner[j] >= 0:
-                j += 1
-            if j < length:
-                break
-            if not lows:
-                return
-            i = lows.pop()
-            j = partner[i]
-            if j < 0:
-                j = i
-                left += 1
-            else:
-                partner[i] = partner[j] = -1
-                left += 2
-            j += 1
-        if j > i:
-            partner[i] = j
-            partner[j] = i
-            left -= 2
-        else:
-            left -= 1
-        lows.append(i)
-        i += 1
-
-
-# ---------------------------------------------------------------------------
-# the counting search
-# ---------------------------------------------------------------------------
-
-# The three matchings ab|cd, ac|bd and ad|bc of four points 0 < 1 < 2 < 3.
-_FOUR_MATCHINGS = ((1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
-
-
-def _closing_table() -> tuple:
-    # Four open paths, their tails ranked 0..3: the path whose head follows
-    # tail x (the vertex x + 1) ends at tail t[x].  A matching mu adds the
-    # edges x -> mu(x) + 1, so it closes the cycles of x -> t[mu[x]].  Entry
-    # t[0] << 4 | t[1] << 2 | t[2] holds that count for each mu; indices no
-    # permutation t takes hold None.
-    table: list = [None] * 64
-    for t in permutations(range(4)):
-        row = []
-        for mu in _FOUR_MATCHINGS:
-            seen = [False] * 4
-            cycles = 0
-            for start in range(4):
-                x = start
-                if not seen[x]:
-                    cycles += 1
-                    while not seen[x]:
-                        seen[x] = True
-                        x = t[mu[x]]
-            row.append(cycles)
-        table[t[0] << 4 | t[1] << 2 | t[2]] = tuple(row)
-    return tuple(table)
-
-
-_CLOSES = _closing_table()
+    for partner, undecided in _nodes(length, partial):
+        # each completion gathers partners for the k undecided vertices, and
+        # one gather per node puts them among the decided vertices' partners
+        k = len(undecided)
+        order = list(range(k, k + length))
+        for t, v in enumerate(undecided):
+            order[v] = t
+        gathered = map(_call, gathers[k][0], repeat((*undecided, -1)))
+        arrays = map(_picker(order), map(add, gathered, repeat(tuple(partner))))
+        # the node's first diagram goes out before its tallies are looked
+        # up, so the stream's first diagram waits for no walk or search
+        yield _trusted(cls, next(arrays))
+        tallies = _node_tallies(*_node_key(partner, undecided, partial))
+        yield from map(_trusted, repeat(cls), arrays, islice(tallies, 1, None))
 
 
 @functools.cache
-def _tabulate(length: int, mode: str) -> Mapping[tuple[int, int, int, int], int]:
-    """Tally the matchings of ``length`` points in one depth-first search.
+def _full_tally(length: int) -> Mapping[tuple[int, int, bool], int]:
+    """(boundary cycles, 1-chords, shape flag) -> count, over full matchings.
 
-    Mode "full" visits every full matching, "shape" only the shapes, and
-    "mm" the macromolecular pass: partial matchings without 1-chords, with
-    the smallest stack tracked.  Keys are (boundary cycles, chords, 1-chords,
-    smallest stack); a diagram without chords reports length // 2 + 1, past
-    every stack, and a full matching 0.  Cycles count the diagram with its
-    unmatched vertices deleted, and the empty diagram bounds one.  Each
-    tally is searched once per process and handed out read-only; the caps
-    of its callers bound the keys to a few dozen.
+    The walk's nodes over ``length`` points, counted by signature; each
+    signature's completions are counted by what they close, once.  Nodes
+    whose decided chords stack already clear the shape flag.
     """
-    shapes = mode == "shape"
-    partial = mode == "mm"
-    no_stack = length // 2 + 1 if partial else 0  # past any stack of length points
-    counts: dict[tuple[int, int, int, int], int] = {}
+    nodes = Counter(_node_key(p, undecided, False) for p, undecided in _nodes(length, False))
+    counts: dict[tuple, int] = {}
+    for (_p, k, tails, closed, _chords, ones, adjacent, stacked, bar), many in nodes.items():
+        _added, more, shapes = _closing_chords(False, k, adjacent, bar)
+        closing = Counter(zip(_closing_cycles(False, k, tails), more, shapes))
+        for (c, m, shape), v in closing.items():
+            key = (closed + c, ones + m, shape and not stacked)
+            counts[key] = counts.get(key, 0) + many * v
+    return MappingProxyType(counts)
+
+
+def _full_entries(n_max: int, shapes: bool) -> dict[tuple[int, ...], int]:
+    # (g, n, m) -> count over full diagrams, or over shapes only
+    _check_cap(n_max, DEFAULT_FULL_CAP, "full diagram")
+    entries: dict[tuple[int, ...], int] = {}
+    for n in range(n_max + 1):
+        for (cycles, m, shape), v in _full_tally(2 * n).items():
+            if shape or not shapes:
+                key = (_genus_of(n, cycles), n, m)
+                entries[key] = entries.get(key, 0) + v
+    return entries
+
+
+# ---------------------------------------------------------------------------
+# the macromolecular search
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def _tabulate(length: int) -> Mapping[tuple[int, int, int], int]:
+    """Tally the macromolecular matchings of ``length`` points in one search.
+
+    Every partial matching without 1-chords, with its smallest stack
+    tracked.  Keys are (boundary cycles, chords, smallest stack); a diagram
+    without chords reports length // 2 + 1, past every stack.  Cycles count
+    the diagram with its unmatched vertices deleted, and the empty diagram
+    bounds one.  Each tally is searched once per process and handed out
+    read-only; the cap of its callers bounds the keys to a few dozen.
+    """
+    no_stack = length // 2 + 1  # past any stack of length points
+    counts: dict[tuple[int, int, int], int] = {}
     if length == 0:
-        counts[(1, 0, 0, no_stack)] = 1
+        counts[(1, 0, no_stack)] = 1
         return MappingProxyType(counts)
     last = length - 1
     partner = [-1] * length
@@ -432,9 +471,8 @@ def _tabulate(length: int, mode: str) -> Mapping[tuple[int, int, int, int], int]
     nxt[length] = 0
     prv = list(range(-1, length))
     prv[0] = length
-    rank = [0] * length  # the order of the four undecided vertices of a closing step
 
-    def visit(left: int, cyc: int, k: int, m: int, run: int, low: int) -> None:
+    def visit(left: int, cyc: int, k: int, run: int, low: int) -> None:
         # `left` vertices are undecided; `run` is the size of the stack whose
         # innermost chord starts just before the lowest of them and may still
         # grow (0 if none); `low` is the smallest stack already closed
@@ -442,30 +480,27 @@ def _tabulate(length: int, mode: str) -> Mapping[tuple[int, int, int, int], int]
         after = nxt[i]
         nxt[length] = after
         prv[after] = length
-        if partial:
-            # leave i unmatched: the edge i -> i+1 ends any open stack
-            low1 = run if 0 < run < low else low
-            succ = i + 1 if i < last else 0
-            head = other[i]
-            if head == succ:
-                if left == 1:
-                    key = (cyc + 1, k, m, low1)
-                    counts[key] = counts.get(key, 0) + 1
-                else:
-                    visit(left - 1, cyc + 1, k, m, 0, low1)
+        # leave i unmatched: the edge i -> i+1 ends any open stack
+        low1 = run if 0 < run < low else low
+        succ = i + 1 if i < last else 0
+        head = other[i]
+        if head == succ:
+            if left == 1:
+                key = (cyc + 1, k, low1)
+                counts[key] = counts.get(key, 0) + 1
             else:
-                tail = other[succ]
-                other[head] = tail
-                other[tail] = head
-                visit(left - 1, cyc, k, m, 0, low1)
-                other[head] = i
-                other[tail] = succ
+                visit(left - 1, cyc + 1, k, 0, low1)
+        else:
+            tail = other[succ]
+            other[head] = tail
+            other[tail] = head
+            visit(left - 1, cyc, k, 0, low1)
+            other[head] = i
+            other[tail] = succ
         j = after
         while j < length:
             jn = nxt[j]
-            one = j == i + 1
-            stacked = i > 0 and partner[i - 1] == j + 1
-            if (one and partial) or (stacked and shapes):
+            if j == i + 1:  # a 1-chord
                 j = jn
                 continue
             partner[i] = j
@@ -475,17 +510,16 @@ def _tabulate(length: int, mode: str) -> Mapping[tuple[int, int, int, int], int]
             prv[jn] = jp
             low1 = low
             run1 = 0
-            if partial:
-                if stacked:  # (i-1, j+1) left its stack open; (i, j) extends it
-                    size = run + 1
-                else:
-                    size = 1
-                    if 0 < run < low1:
-                        low1 = run
-                if j - i > 2 and partner[i + 1] < 0:
-                    run1 = size  # (i+1, j-1) may still come
-                elif size < low1:
-                    low1 = size
+            if i > 0 and partner[i - 1] == j + 1:
+                size = run + 1  # (i-1, j+1) left its stack open; (i, j) extends it
+            else:
+                size = 1
+                if 0 < run < low1:
+                    low1 = run
+            if j - i > 2 and partner[i + 1] < 0:
+                run1 = size  # (i+1, j-1) may still come
+            elif size < low1:
+                low1 = size
             # the boundary edges i -> j+1 and j -> i+1
             cyc1 = cyc
             succ = j + 1 if j < last else 0
@@ -507,49 +541,17 @@ def _tabulate(length: int, mode: str) -> Mapping[tuple[int, int, int, int], int]
                 other[tail2] = head2
             rest = left - 2
             if rest == 0:
-                key = (cyc1, k + 1, m + one, low1)
+                key = (cyc1, k + 1, low1)
                 counts[key] = counts.get(key, 0) + 1
             elif rest == 1:
                 # the one undecided vertex stays unmatched and closes the
                 # last open path
                 if 0 < run1 < low1:
                     low1 = run1
-                key = (cyc1 + 1, k + 1, m + one, low1)
+                key = (cyc1 + 1, k + 1, low1)
                 counts[key] = counts.get(key, 0) + 1
-            elif rest == 4 and not partial:
-                # the last two chords in one step: the open paths run from
-                # the heads x+1 to the tails T(x) = other[x+1] of the four
-                # undecided x, and each matching mu closes the cycles of
-                # x -> T(mu(x)), read off the table by the order of T
-                a = nxt[length]
-                b = nxt[a]
-                c = nxt[b]
-                d = nxt[c]
-                rank[a] = 0
-                rank[b] = 1
-                rank[c] = 2
-                rank[d] = 3
-                ab_cd, ac_bd, ad_bc = _CLOSES[
-                    rank[other[a + 1]] << 4 | rank[other[b + 1]] << 2 | rank[other[c + 1]]
-                ]
-                k1 = k + 3
-                m1 = m + one
-                # A shape stacks no chord: a may not take the vertex right
-                # inside the chord around it, and (b, c) may not sit right
-                # inside (a, d).  No other new chord can stack, since every
-                # decided vertex past a has its partner before a.
-                barred = partner[a - 1] - 1 if shapes else -1
-                if barred != b:
-                    key = (cyc1 + ab_cd, k1, m1 + (b == a + 1) + (d == c + 1), low1)
-                    counts[key] = counts.get(key, 0) + 1
-                if barred != c:
-                    key = (cyc1 + ac_bd, k1, m1, low1)
-                    counts[key] = counts.get(key, 0) + 1
-                if barred != d and not (shapes and b == a + 1 and c == d - 1):
-                    key = (cyc1 + ad_bc, k1, m1 + (c == b + 1), low1)
-                    counts[key] = counts.get(key, 0) + 1
             else:
-                visit(rest, cyc1, k + 1, m + one, run1, low1)
+                visit(rest, cyc1, k + 1, run1, low1)
             if tail2 >= 0:
                 other[head2] = j
                 other[tail2] = i + 1
@@ -564,18 +566,8 @@ def _tabulate(length: int, mode: str) -> Mapping[tuple[int, int, int, int], int]
         nxt[length] = i
         prv[after] = i
 
-    visit(length, 0, 0, 0, 0, no_stack)
+    visit(length, 0, 0, 0, no_stack)
     return MappingProxyType(counts)
-
-
-def _full_entries(n_max: int, mode: str) -> dict[tuple[int, ...], int]:
-    # (g, n, m) -> count over full diagrams, or over shapes in mode "shape"
-    _check_cap(n_max, DEFAULT_FULL_CAP, "full diagram")
-    entries: dict[tuple[int, ...], int] = {}
-    for n in range(n_max + 1):
-        for (cycles, _k, m, _low), v in _tabulate(2 * n, mode).items():
-            entries[(_genus_of(n, cycles), n, m)] = v
-    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -603,20 +595,20 @@ def enumerate_partial_diagrams(n: int) -> Iterator[PartialDiagram]:
 def count_by_genus(n_max: int) -> GenusTable:
     """c_g(n) for all n <= n_max by exhaustive genus evaluation."""
     entries: dict[tuple[int, ...], int] = {}
-    for (g, n, _m), v in _full_entries(n_max, "full").items():
+    for (g, n, _m), v in _full_entries(n_max, False).items():
         entries[(g, n)] = entries.get((g, n), 0) + v
     return GenusTable("full", n_max, entries)
 
 
 def count_by_genus_onechords(n_max: int) -> GenusTable:
     """Joint counts c_g(n, m) over full diagrams, m the 1-chord number."""
-    entries = _full_entries(n_max, "full")
+    entries = _full_entries(n_max, False)
     return GenusTable("full", n_max, entries, with_onechords=True)
 
 
 def count_shapes(n_max: int) -> GenusTable:
     """Joint counts s_g(n, m) over shapes (every stack a single chord)."""
-    entries = _full_entries(n_max, "shape")
+    entries = _full_entries(n_max, True)
     return GenusTable("shape", n_max, entries, with_onechords=True)
 
 
@@ -635,7 +627,7 @@ def count_macromolecular_multi(n_max: int, sigmas: Iterable[int]) -> dict[int, G
     _check_cap(n_max, DEFAULT_PARTIAL_CAP, "partial diagram")
     tables: dict[int, dict[tuple[int, ...], int]] = {s: {} for s in sig}
     for n in range(n_max + 1):
-        for (cycles, chords, _m, smallest), v in _tabulate(n, "mm").items():
+        for (cycles, chords, smallest), v in _tabulate(n).items():
             key = (_genus_of(chords, cycles), n)
             for s in sig:
                 if not chords or smallest >= s:

@@ -48,9 +48,10 @@ MAX_PIPELINE_GENUS = 30
 #                0.9 s, 0.7 s
 #   cg-m, shapes n-max 83, every genus: 296 k rows 0.8 s, 0.9 s;
 #                n-max 546 at g-max 0: 299 k rows 2.7 s, 3.2 s
-#   oracle       n-max 8, fresh process: 45 rows of cg 1.2 s, 405 of cg-m
-#                1.2 s and of shapes 0.9 s, nearly all of it the enumeration
-#                (its safety cap 8 binds long before the row bound)
+#   oracle       n-max 8, fresh process: 45 rows of cg 0.6 s, 405 of cg-m
+#                0.65 s and of shapes 0.55 s, nearly all of it the one
+#                full-matching tally (its safety cap 8 binds long before the
+#                row bound)
 # so the bound admits cg up to n-max 773 (about 1.5 s), cg-m and shapes up to
 # n-max 83 over every genus, and no table of millions of zero rows.
 MAX_TABLE_ROWS = 300_000

@@ -12,12 +12,12 @@ walk sends an unmatched vertex v to v+1, so from a matched w it goes to
 partner(w)+1 and over the unmatched run there to the next matched vertex,
 where tau o iota goes in the subdiagram: the cycles are the subdiagram's.
 
-A diagram handed out by a stream of more than 8 points (``bruteforce``)
-mostly carries its classification: ``boundary_cycles()``, ``genus()``,
-``one_chord_count()`` and ``is_shape()`` read it instead of walking the
-array.  Every other query walks the array.  A checked diagram (built through
-``__init__``, which a pickle round trip also takes), a ``project_shape()``
-result and a diagram of a stream of at most 8 points carry none.
+A diagram handed out by a stream (``bruteforce``) mostly carries its
+classification: ``boundary_cycles()``, ``genus()``, ``one_chord_count()``
+and ``is_shape()`` read it instead of walking the array.  Every other query
+walks the array.  A checked diagram (built through ``__init__``, which a
+pickle round trip also takes), a ``project_shape()`` result and the first
+diagram of each node of a stream's walk carry none.
 """
 
 from __future__ import annotations

@@ -136,12 +136,10 @@ def test_negative_n_max_is_rejected():
 
 
 def test_full_tables_match_public_stream_tallies():
-    # the search tracks cycles, 1-chords and stacking incrementally; each
-    # streamed array is classified from scratch through a checked rebuild,
-    # which carries none of the stream's own classification.  n <= 6
-    # reaches all 24 tail orders of the closing step's table (4, 10, 19 and
-    # 24 distinct at n = 3..6; n = 2 closes through the loop), in full and
-    # in shape mode.
+    # the tally closes each node's completions by signature; each streamed
+    # array is classified from scratch through a checked rebuild, which
+    # carries none of the stream's own classification.  n <= 4 is the root
+    # alone, and n = 5, 6 close nodes below it.
     n_max = 6
     joint, shapes = Counter(), Counter()
     for n in range(n_max + 1):
@@ -159,19 +157,20 @@ def test_full_tables_match_public_stream_tallies():
 
 
 def test_full_tables_at_n7_match_the_bivariate_series():
-    # an independent route one chord past the stream test: the coefficients
-    # of C_g(x, y) and S_g(z, u) at x^7 and z^7, y and u marking 1-chords
-    n = 7
-    joint = count_by_genus_onechords(n)
-    shapes = count_shapes(n)
-    for g in range(n // 2 + 1):
-        assert [joint.count(g, n, m) for m in range(n + 1)] == (
-            genfunc.diagram_bivariate_rows(g, n, n)[n]
-        ), g
-        assert [shapes.count(g, n, m) for m in range(n + 1)] == (
-            genfunc.shape_bivariate_rows(g, n, n)[n]
-        ), g
-    assert joint.total(n) == double_factorial_odd(n)  # no genus past n // 2
+    # an independent route past the stream test, up to the cap and its 3212
+    # node signatures: the coefficients of C_g(x, y) and S_g(z, u) at x^n
+    # and z^n, y and u marking 1-chords
+    for n in (7, DEFAULT_FULL_CAP):
+        joint = count_by_genus_onechords(n)
+        shapes = count_shapes(n)
+        for g in range(n // 2 + 1):
+            assert [joint.count(g, n, m) for m in range(n + 1)] == (
+                genfunc.diagram_bivariate_rows(g, n, n)[n]
+            ), (g, n)
+            assert [shapes.count(g, n, m) for m in range(n + 1)] == (
+                genfunc.shape_bivariate_rows(g, n, n)[n]
+            ), (g, n)
+        assert joint.total(n) == double_factorial_odd(n)  # no genus past n // 2
 
 
 def test_macromolecular_tables_match_partial_stream_tallies():
@@ -228,13 +227,17 @@ def classification(d):
 
 def test_streamed_diagrams_carry_the_classification_of_checked_rebuilds():
     # the node tables against the array walks of checked rebuilds, from a
-    # cold memo and again from a warm one; only a node's first diagram and
-    # the streams of at most 8 points carry no classification
-    for stream, cls, n_max, points in (
-        (enumerate_chord_diagrams, ChordDiagram, 7, 2),
-        (enumerate_partial_diagrams, PartialDiagram, 11, 1),
+    # cold memo and again from a warm one, over every n from the lone root
+    # on; only a node's first diagram carries no classification, and a node
+    # past the root holds at least 105 full or 232 partial completions
+    for stream, cls, n_max, per_node in (
+        (enumerate_chord_diagrams, ChordDiagram, 7, 105),
+        (enumerate_partial_diagrams, PartialDiagram, 11, 232),
     ):
-        bruteforce._node_tallies.cache_clear()
+        for memo in (
+            bruteforce._closing_cycles, bruteforce._closing_chords, bruteforce._node_tallies
+        ):
+            memo.cache_clear()
         for n in range(n_max + 1):
             diagrams = list(stream(n))
             carried = [d._tally for d in diagrams]
@@ -242,10 +245,7 @@ def test_streamed_diagrams_carry_the_classification_of_checked_rebuilds():
             assert all(r._tally is None for r in rebuilt)
             assert list(map(classification, diagrams)) == list(map(classification, rebuilt))
             bare = carried.count(None)
-            if points * n <= 8:
-                assert bare == len(carried)
-            else:
-                assert 0 < 50 * bare < len(carried)
+            assert carried[0] is None and bare * per_node <= max(len(carried), per_node)
             assert [d._tally for d in stream(n)] == carried
         tallied = [d for d in stream(n_max - 1) if d._tally is not None][::97]
         assert tallied
@@ -256,13 +256,13 @@ def test_streamed_diagrams_carry_the_classification_of_checked_rebuilds():
 
 
 def test_oracle_tallies_are_searched_once_and_handed_out_read_only():
-    tally = bruteforce._tabulate(6, "full")
+    tally = bruteforce._full_tally(6)
     with pytest.raises(TypeError):
-        tally[(1, 3, 0, 0)] = 5
+        tally[(1, 0, True)] = 5
     first = count_by_genus(6)
-    before = bruteforce._tabulate.cache_info()
+    before = bruteforce._full_tally.cache_info()
     second = count_by_genus(6)
-    after = bruteforce._tabulate.cache_info()
+    after = bruteforce._full_tally.cache_info()
     assert (after.hits - before.hits, after.misses - before.misses) == (7, 0)  # n = 0..6
     assert second == first
     # each table gets its own entries, so a caller's edit stays its own

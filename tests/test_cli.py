@@ -461,9 +461,9 @@ _AT_CAP_NOT_RUN = {
     "asymptotics singularity --sigma 40": "about 3 s, the Sturm chain",
     "asymptotics growth --g 0 --sigma 40": "about 3 s, the Sturm chain",
     "verify hz --n-max 80": "about 1 s, the exp/log witness",
-    "verify oracle --n-max 8": "about 1.4 s, the full-matching oracle at n = 8",
-    "verify shapes --n-max 8": "about 2.7 s, two full-matching oracles at n = 8",
-    "verify all --n-max 8": "about 1.3 s, the full-matching oracle at n = 8",
+    "verify oracle --n-max 8": "about 0.7 s, the full-matching tally at n = 8",
+    "verify shapes --n-max 8": "about 0.7 s, the full-matching tally at n = 8",
+    "verify all --n-max 8": "about 0.7 s, the full-matching tally at n = 8",
     "verify mm --n-max 14": "about 1.7 s, the partial-matching oracle at n = 14",
 }
 
