@@ -65,19 +65,16 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice, repeat
-from operator import add, eq, itemgetter
+from operator import eq
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-from .diagrams import ChordDiagram, PartialDiagram, _genus_of, _trusted
-
-try:
-    from operator import call as _call
-except ImportError:  # Python 3.10: the slot wrapper does the same, more slowly
-    _call = itemgetter.__call__
+from .diagrams import ChordDiagram, PartialDiagram, _genus_of, _trusted, _trusted_batch
 
 DEFAULT_FULL_CAP = 8
 DEFAULT_PARTIAL_CAP = 14
+# the streams carry vertex ids through a signed-byte view (``_diagrams``)
+assert max(2 * DEFAULT_FULL_CAP, DEFAULT_PARTIAL_CAP) <= 127
 
 
 def _check_cap(n: int, limit: int, what: str) -> None:
@@ -144,6 +141,8 @@ class GenusTable:
 # partial matching can skip to; a matching of at most _CLOSE points is one
 # node, the root.
 _CLOSE = 8
+# a translate table's tail: the ranks past a node's k, and 255, map to themselves
+_IDENTITY = bytes(range(256))
 
 
 def _canonical(size: int, partial: bool) -> list[tuple[int, ...]]:
@@ -171,29 +170,23 @@ def _canonical(size: int, partial: bool) -> list[tuple[int, ...]]:
     return out
 
 
-def _picker(indices: list[int]):
-    # itemgetter(*indices), but a tuple for one index or none as well
-    if len(indices) > 1:
-        return itemgetter(*indices)
-    return lambda seq: tuple(map(seq.__getitem__, indices))
-
-
 @functools.cache
-def _gathers(partial: bool) -> dict[int, tuple[tuple, tuple]]:
-    """Undecided vertex count k -> (one gather per completion, the completions).
+def _completions(partial: bool) -> dict[int, tuple[tuple, bytes]]:
+    """Undecided vertex count k -> (the completions, their column block).
 
-    A completion s of the undecided vertices u_0 < ... < u_(k-1) of a node
-    gives u_t the partner u_(s[t]), or none when s[t] is -1, so the gather
-    of s reads them all from (u_0, ..., u_(k-1), -1).  The completions of k
-    points, in canonical order and rank form, are what the classifier
-    closes.  Every k up to _CLOSE that a node can have is built on the first
-    call of a stream or tally (about 0.5 ms full, 2-3 ms partial on a 2-core
-    host).
+    The completions of k points, in canonical order and rank form, are what
+    the classifier closes: completion s gives the undecided vertex u_t the
+    partner u_(s[t]), or none when s[t] is -1.  The block holds column t of
+    the m completions, (s[t] for each s), at offset t*m, with -1 stored as
+    255, so that one ``bytes.translate`` per node turns every rank into its
+    vertex at once.  Every k up to _CLOSE that a node can have is built on
+    the first call of a stream or tally (about 0.5 ms full, 2-3 ms partial
+    on a 2-core host).
     """
     out = {}
     for k in range(0, _CLOSE + 1, 1 if partial else 2):
         completions = tuple(_canonical(k, partial))
-        out[k] = (tuple(map(_picker, completions)), completions)
+        out[k] = (completions, bytes(x & 255 for column in zip(*completions) for x in column))
     return out
 
 
@@ -206,7 +199,7 @@ def _nodes(length: int, partial: bool) -> Iterator[tuple[list[int], list[int]]]:
     them, handed out with the undecided vertices; the array is live, so the
     caller reads it before asking for the next node.  Every matching
     completes exactly one node, in canonical order when each node's
-    completions follow ``_gathers`` order.
+    completions follow ``_completions`` order.
     """
     # `lows` holds the decided vertices, partner[i] the option taken (-1 for
     # i), and `left` counts the undecided vertices, all of them at i or past it
@@ -311,7 +304,7 @@ def _node_key(partner: list[int], undecided: list[int], partial: bool) -> tuple:
 # The classifier.  For the node that ``_node_key`` describes, the open
 # boundary path from head u_t + 1 ends at tail u_T[t], T = ``tails``, and
 # bit t of ``adjacent`` says u_(t+1) = u_t + 1.  Each function answers for
-# every completion of the node, in ``_gathers`` order; the node adds what
+# every completion of the node, in ``_completions`` order; the node adds what
 # its decided vertices hold.
 
 
@@ -346,7 +339,7 @@ def _closing_chords(partial: bool, k: int, adjacent: int, bar: int) -> tuple[tup
     # add, column by column: a flag says that no completion chord stacks,
     # none with another and (u_0, u_bar) not at all; it is None for a
     # partial matching
-    completions = _gathers(partial)[k][1]
+    completions = _completions(partial)[k][0]
     if bar >= 0:
         # the columns without the bar, the flag cleared where s(0) = bar
         added, ones, shapes = _closing_chords(partial, k, adjacent, -1)
@@ -389,23 +382,30 @@ def _node_tallies(
     )
 
 
-def _diagrams(cls, length: int, gathers: dict) -> Iterator:
+def _diagrams(cls, length: int, columns: dict) -> Iterator:
     """Every matching of ``length`` points as a ``cls`` diagram, in canonical order."""
+    if not length:
+        yield _trusted(cls, ())  # zip() of no columns would yield nothing
+        return
     partial = cls._allow_unmatched
     for partner, undecided in _nodes(length, partial):
-        # each completion gathers partners for the k undecided vertices, and
-        # one gather per node puts them among the decided vertices' partners
+        # one translate turns the block's ranks t into vertices u_t (255,
+        # unmatched, stays and reads back as -1), and zip reads each
+        # completion's partners across a column per undecided vertex and a
+        # repeat per decided one
         k = len(undecided)
-        order = list(range(k, k + length))
-        for t, v in enumerate(undecided):
-            order[v] = t
-        gathered = map(_call, gathers[k][0], repeat((*undecided, -1)))
-        arrays = map(_picker(order), map(add, gathered, repeat(tuple(partner))))
+        completions, block = columns[k]
+        m = len(completions)
+        cols = memoryview(block.translate(bytes(undecided) + _IDENTITY[k:])).cast("b")
+        its = list(map(repeat, partner))
+        for t, u in enumerate(undecided):
+            its[u] = cols[t * m : (t + 1) * m]
+        arrays = zip(*its)
         # the node's first diagram goes out before its tallies are looked
         # up, so the stream's first diagram waits for no walk or search
         yield _trusted(cls, next(arrays))
         tallies = _node_tallies(*_node_key(partner, undecided, partial))
-        yield from map(_trusted, repeat(cls), arrays, islice(tallies, 1, None))
+        yield from _trusted_batch(cls, m - 1, arrays, islice(tallies, 1, None))
 
 
 @functools.cache
@@ -578,13 +578,13 @@ def _tabulate(length: int) -> Mapping[tuple[int, int, int], int]:
 def enumerate_chord_diagrams(n: int) -> Iterator[ChordDiagram]:
     """Every full diagram with n chords, each exactly once, in canonical order."""
     _check_cap(n, DEFAULT_FULL_CAP, "full diagram")
-    return _diagrams(ChordDiagram, 2 * n, _gathers(False))
+    return _diagrams(ChordDiagram, 2 * n, _completions(False))
 
 
 def enumerate_partial_diagrams(n: int) -> Iterator[PartialDiagram]:
     """Every partial diagram on n backbone vertices, each exactly once."""
     _check_cap(n, DEFAULT_PARTIAL_CAP, "partial diagram")
-    return _diagrams(PartialDiagram, n, _gathers(True))
+    return _diagrams(PartialDiagram, n, _completions(True))
 
 
 # ---------------------------------------------------------------------------

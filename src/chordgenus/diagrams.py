@@ -23,6 +23,8 @@ diagram of each node of a stream's walk carry none.
 from __future__ import annotations
 
 import operator
+from collections import deque
+from itertools import repeat
 from typing import Iterable, Sequence
 
 Pair = tuple[int, int]
@@ -251,14 +253,24 @@ _set_partners = _Diagram.partners.__set__
 _set_tally = _Diagram._tally.__set__
 
 
+# _trusted and _trusted_batch are the one way past validation, for partner
+# tuples that the streams or the shape projection built and that are valid
+# by construction, and for the classification a stream worked out for each
+
+
 def _trusted(cls, partners: tuple[int, ...], tally: tuple | None = None):
-    # the one way past validation, for a partner tuple that the streams or
-    # the shape projection built and that is valid by construction, and for
-    # the classification a stream worked out for it
     d = object.__new__(cls)
     _set_partners(d, partners)
     _set_tally(d, tally)
     return d
+
+
+def _trusted_batch(cls, count: int, partners: Iterable, tallies: Iterable) -> list:
+    # `count` diagrams at once, each setter mapped over the batch in C
+    out = list(map(object.__new__, repeat(cls, count)))
+    deque(map(_set_partners, out, partners), 0)
+    deque(map(_set_tally, out, tallies), 0)
+    return out
 
 
 class ChordDiagram(_Diagram):

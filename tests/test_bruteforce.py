@@ -1,6 +1,7 @@
 import pickle
 import sys
 from collections import Counter
+from itertools import islice, zip_longest
 from operator import attrgetter
 
 import pytest
@@ -21,6 +22,7 @@ from chordgenus.bruteforce import (
 from chordgenus.diagrams import ChordDiagram, PartialDiagram, _validate_partners
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]
+TELEPHONE = [1, 1, 2, 4, 10, 26, 76, 232, 764]
 
 
 def test_double_factorial():
@@ -34,9 +36,8 @@ def test_stream_is_exhaustive_and_duplicate_free():
 
 
 def test_partial_stream_counts_match_telephone_numbers():
-    telephone = [1, 1, 2, 4, 10, 26, 76, 232]
-    for n in range(8):
-        assert sum(1 for _ in enumerate_partial_diagrams(n)) == telephone[n]
+    for n in range(9):
+        assert sum(1 for _ in enumerate_partial_diagrams(n)) == TELEPHONE[n]
 
 
 def test_caps_guard_large_inputs():
@@ -189,7 +190,9 @@ def test_macromolecular_tables_match_partial_stream_tallies():
 
 def test_streamed_diagrams_pass_validation():
     # the streams skip validation; every diagram they hand out must pass it,
-    # and keep its own array after the stream has moved on
+    # and keep its own array after the stream has moved on.  The arrays are
+    # read from a signed-byte view, so each entry must be a plain int and an
+    # unmatched one exactly -1, not 255.
     for stream, cls, n_max, partial in (
         (enumerate_chord_diagrams, ChordDiagram, 5, False),
         (enumerate_partial_diagrams, PartialDiagram, 8, True),
@@ -197,9 +200,15 @@ def test_streamed_diagrams_pass_validation():
         for n in range(n_max + 1):
             diagrams = list(stream(n))
             assert len(set(diagrams)) == len(diagrams)
+            unmatched = 0
             for d in diagrams:
                 assert type(d) is cls and type(d.partners) is tuple
+                assert all(type(x) is int for x in d.partners)
+                assert all(x == -1 or 0 <= x < len(d.partners) for x in d.partners)
+                unmatched += d.partners.count(-1)
                 _validate_partners(d.partners, allow_unmatched=partial)
+            # each of the n vertices is left unmatched in T(n - 1) matchings
+            assert unmatched == (n * TELEPHONE[n - 1] if partial and n else 0)
 
 
 @pytest.mark.parametrize(
@@ -300,12 +309,37 @@ def witness_matchings(length, partial):
 
 
 def test_streams_follow_the_recursive_order():
-    for n in range(7):
+    # full n = 7 is the benchmark's stream, 1287 nodes past the root
+    for n in range(8):
         streamed = [d.partners for d in enumerate_chord_diagrams(n)]
         assert streamed == list(witness_matchings(2 * n, False))
-    for n in range(11):
+    for n in range(12):
         streamed = [d.partners for d in enumerate_partial_diagrams(n)]
         assert streamed == list(witness_matchings(n, True))
+
+
+def test_live_streams_share_their_tables_safely():
+    # the column blocks and node tables are per process and read-only: two
+    # streams advanced in turn, or one dropped partway into a node, change
+    # what no other stream hands out
+    def record(diagrams):
+        return [(d.partners, d._tally) for d in diagrams]
+
+    full, partial = (enumerate_chord_diagrams, 6), (enumerate_partial_diagrams, 10)
+    alone = {key: record(key[0](key[1])) for key in (full, partial)}
+    for a, b in ((full, full), (full, partial), (partial, full)):
+        seen = ([], [])
+        for pair in zip_longest(a[0](a[1]), b[0](b[1])):
+            for out, d in zip(seen, pair):
+                if d is not None:
+                    out.append((d.partners, d._tally))
+        assert seen == (alone[a], alone[b])
+    # 105 diagrams a node at full n = 6, so the 150th lies in the second
+    dropped = enumerate_chord_diagrams(6)
+    assert record(islice(dropped, 150)) == alone[full][:150]
+    del dropped
+    assert record(enumerate_partial_diagrams(10)) == alone[partial]
+    assert record(enumerate_chord_diagrams(6)) == alone[full]
 
 
 def test_streams_are_lazy():
