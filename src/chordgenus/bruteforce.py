@@ -34,13 +34,17 @@ walking.  At n = 8 it closes 3212 signatures over 19 305 nodes.
 
 The streams come lazily from ``_diagrams``, which hands out each node's
 completions from a table of the canonical matchings of its k undecided
-points, built on the first call of a stream.  Each diagram costs two
-C-level gathers, one per completion for the undecided vertices and one per
-node that puts them among the decided ones, and no Python step per vertex:
-at n = 7 the walk hands out 105 completions at each of 1287 nodes.  The
-streams wrap the arrays through ``diagrams._trusted``, without validating
-them again, and hand each diagram its classification: boundary cycles,
-genus, 1-chords and (full only) the shape flag, joined once per signature
+points, built on the first call of a stream and kept column by column: a
+run of bytes per column of ranks.  One ``bytes.translate`` per node turns
+the ranks into the node's vertices (O(k*m) bytes for m completions), and
+``zip`` reads each partner tuple across those columns and a ``repeat`` of
+each decided vertex's partner.  A node costs O(length) Python steps; a
+diagram costs one tuple build and three C-level map steps, and no Python
+step per vertex.  At n = 7 the walk hands out 105 completions at each of
+1287 nodes.  The streams build their diagrams through
+``diagrams._trusted`` and ``_trusted_batch``, without validating them
+again, and hand each diagram its classification: boundary cycles, genus,
+1-chords and (full only) the shape flag, joined once per signature
 (``_node_tallies``), which ``boundary_cycles()``, ``genus()``,
 ``one_chord_count()`` and ``is_shape()`` then read without a walk.  A
 node's first diagram goes out before the node's walk and carries none;
@@ -180,8 +184,8 @@ def _completions(partial: bool) -> dict[int, tuple[tuple, bytes]]:
     the m completions, (s[t] for each s), at offset t*m, with -1 stored as
     255, so that one ``bytes.translate`` per node turns every rank into its
     vertex at once.  Every k up to _CLOSE that a node can have is built on
-    the first call of a stream or tally (about 0.5 ms full, 2-3 ms partial
-    on a 2-core host).
+    the first call of a stream or tally (about 0.15-0.25 ms full, 1-2 ms
+    partial on a 2-core host).
     """
     out = {}
     for k in range(0, _CLOSE + 1, 1 if partial else 2):

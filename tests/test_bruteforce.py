@@ -320,21 +320,24 @@ def test_streams_follow_the_recursive_order():
 
 def test_live_streams_share_their_tables_safely():
     # the column blocks and node tables are per process and read-only: two
-    # streams advanced in turn, or one dropped partway into a node, change
-    # what no other stream hands out
+    # streams advanced in turn, the first one `lead` diagrams ahead, or one
+    # dropped partway into a node, change what no other stream hands out
     def record(diagrams):
         return [(d.partners, d._tally) for d in diagrams]
 
     full, partial = (enumerate_chord_diagrams, 6), (enumerate_partial_diagrams, 10)
-    alone = {key: record(key[0](key[1])) for key in (full, partial)}
-    for a, b in ((full, full), (full, partial), (partial, full)):
-        seen = ([], [])
-        for pair in zip_longest(a[0](a[1]), b[0](b[1])):
+    small, smaller = (enumerate_chord_diagrams, 5), (enumerate_partial_diagrams, 9)
+    alone = {key: record(key[0](key[1])) for key in (full, partial, small, smaller)}
+    # 105 diagrams a node at full n = 6, so a lead of 50 is half a node
+    for a, b, lead in ((full, full, 50), (full, small, 0), (full, partial, 0),
+                       (partial, smaller, 300)):
+        first, second = a[0](a[1]), b[0](b[1])
+        seen = (record(islice(first, lead)), [])
+        for pair in zip_longest(first, second):
             for out, d in zip(seen, pair):
                 if d is not None:
                     out.append((d.partners, d._tally))
         assert seen == (alone[a], alone[b])
-    # 105 diagrams a node at full n = 6, so the 150th lies in the second
     dropped = enumerate_chord_diagrams(6)
     assert record(islice(dropped, 150)) == alone[full][:150]
     del dropped
